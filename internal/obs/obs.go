@@ -93,6 +93,7 @@ const (
 	MetricStorageDemotions       = "histanon_storage_demotions_total"
 	MetricStorageDemotedSamples  = "histanon_storage_demoted_samples_total"
 	MetricStorageColdReads       = "histanon_storage_cold_reads_total"
+	MetricStorageColdKNN         = "histanon_storage_cold_knn_total"
 	MetricStorageHotSamples      = "histanon_storage_hot_samples"
 	MetricStorageColdSamples     = "histanon_storage_cold_samples"
 	MetricStorageChainFiles      = "histanon_storage_snapshot_chain_files"
@@ -137,7 +138,8 @@ func MetricNames() []string {
 		MetricStorageWALErrors, MetricStorageWALLag,
 		MetricStorageSnapshots, MetricStorageSnapshotErrors,
 		MetricStorageDemotions, MetricStorageDemotedSamples,
-		MetricStorageColdReads, MetricStorageHotSamples, MetricStorageColdSamples,
+		MetricStorageColdReads, MetricStorageColdKNN,
+		MetricStorageHotSamples, MetricStorageColdSamples,
 		MetricStorageChainFiles, MetricStorageRecoverySeconds,
 		MetricStorageRecoveryRecords, MetricStorageFailed,
 		MetricSLODecisions, MetricSLOBelowK, MetricSLODroppedLate,

@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"histanon/internal/geo"
 )
@@ -19,27 +20,70 @@ import (
 type UserID int64
 
 // History is one user's Personal History of Locations: location samples
-// ordered by time. A History is not safe for concurrent mutation; the
-// Store serializes access.
+// ordered by time.
+//
+// Stores hand out read-only views (View), never the History they keep
+// appending to. A view holds the samples present when it was taken, and
+// later Appends never write anything a view can see, so a view may be
+// read while the store keeps recording. The owner must not run Append
+// concurrently with View or with another Append; any number of View
+// calls and view reads may run together (a store's write and read locks
+// give exactly this).
 type History struct {
 	pts []geo.STPoint // sorted by T, ties kept in insertion order
+
+	view   atomic.Pointer[History] // view of pts handed out since the last Append
+	shared bool                    // a view taken before the last Append may see pts' array
 }
 
 // Len returns the number of samples.
 func (h *History) Len() int { return len(h.pts) }
 
 // Append adds a sample. Samples usually arrive in time order; an
-// out-of-order sample is inserted at its sorted position.
+// out-of-order sample is inserted at its sorted position. The insert
+// shifts samples in place unless a view may see them; then it goes into
+// a copy of the same capacity.
 func (h *History) Append(p geo.STPoint) {
+	if h.view.Load() != nil {
+		h.view.Store(nil)
+		h.shared = true
+	}
 	n := len(h.pts)
+	if n == cap(h.pts) {
+		h.shared = false // append moves pts to an array no view has seen
+	}
 	if n == 0 || h.pts[n-1].T <= p.T {
 		h.pts = append(h.pts, p)
 		return
 	}
 	i := sort.Search(n, func(i int) bool { return h.pts[i].T > p.T })
+	if h.shared {
+		pts := make([]geo.STPoint, n+1, cap(h.pts))
+		copy(pts, h.pts[:i])
+		pts[i] = p
+		copy(pts[i+1:], h.pts[i:])
+		h.pts, h.shared = pts, false
+		return
+	}
 	h.pts = append(h.pts, geo.STPoint{})
 	copy(h.pts[i+1:], h.pts[i:])
 	h.pts[i] = p
+}
+
+// View returns a read-only History holding h's current samples. It
+// shares h's array without copying, and later Appends to h never change
+// what it holds. Views are cached: calls between two Appends return the
+// same one.
+func (h *History) View() *History {
+	if v := h.view.Load(); v != nil {
+		return v
+	}
+	n := len(h.pts)
+	v := &History{pts: h.pts[:n:n]}
+	if h.view.CompareAndSwap(nil, v) {
+		return v
+	}
+	return h.view.Load()
 }
 
 // At returns the i-th sample in time order.
@@ -149,8 +193,9 @@ func HistoryFromPoints(pts []geo.STPoint) *History { return &History{pts: pts} }
 type Storer interface {
 	// Record appends a location sample for the user.
 	Record(u UserID, p geo.STPoint)
-	// History returns the user's history (read-only), or nil when the
-	// user is unknown.
+	// History returns the user's history, or nil when the user is
+	// unknown. The result is read-only and later Records must not change
+	// it (History.View gives both).
 	History(u UserID) *History
 	// Users returns all known users in first-seen order.
 	Users() []UserID
@@ -197,12 +242,15 @@ func (s *Store) Record(u UserID, p geo.STPoint) {
 	s.count++
 }
 
-// History returns the user's history, or nil when the user is unknown.
-// The returned History must be treated as read-only.
+// History returns a read-only view of the user's history (see
+// History.View), or nil when the user is unknown.
 func (s *Store) History(u UserID) *History {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.users[u]
+	if h := s.users[u]; h != nil {
+		return h.View()
+	}
+	return nil
 }
 
 // Users returns all known users in first-seen order.

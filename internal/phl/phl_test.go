@@ -2,6 +2,9 @@ package phl
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"histanon/internal/geo"
@@ -211,6 +214,121 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	<-done
 	if s.NumSamples() != 1000 {
 		t.Fatalf("NumSamples=%d", s.NumSamples())
+	}
+}
+
+// A view keeps the samples it was taken with: neither an in-order
+// append nor an out-of-order insert into the History changes it.
+func TestHistoryViewIsStable(t *testing.T) {
+	var h History
+	for _, ts := range []int64{10, 20, 30, 40} {
+		h.Append(pt(float64(ts), 0, ts))
+	}
+	v := h.View()
+	if h.View() != v {
+		t.Fatal("View is not cached between Appends")
+	}
+	want := append([]geo.STPoint(nil), v.Points()...)
+	h.Append(pt(0, 0, 50)) // in order
+	h.Append(pt(0, 0, 15)) // out of order: would shift samples v sees
+	h.Append(pt(0, 0, 5))
+	if v.Len() != len(want) {
+		t.Fatalf("view Len changed: %d, want %d", v.Len(), len(want))
+	}
+	for i, p := range v.Points() {
+		if p != want[i] {
+			t.Fatalf("view sample %d changed: %+v, want %+v", i, p, want[i])
+		}
+	}
+	if cap(v.Points()) != v.Len() {
+		t.Fatal("view exposes capacity past its samples")
+	}
+	if h.View() == v || h.View().Len() != 7 {
+		t.Fatal("View after Append does not see the new samples")
+	}
+	got := []int64{}
+	for _, p := range h.Points() {
+		got = append(got, p.T)
+	}
+	for i, w := range []int64{5, 10, 15, 20, 30, 40, 50} {
+		if got[i] != w {
+			t.Fatalf("history times %v, want sorted insert", got)
+		}
+	}
+}
+
+// Views handed out by Store.History can be read while Record keeps
+// appending in order and inserting out of order: a view never changes
+// and, under -race, reading it races with nothing.
+func TestStoreHistoryViewsUnderConcurrentRecord(t *testing.T) {
+	const users, n = 3, 3000
+	s := NewStore()
+	var recorded atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			ts := int64(i) * 10
+			if i%4 == 3 {
+				ts = int64(i) * 5 // behind the user's newest sample
+			}
+			s.Record(UserID(i%users), pt(float64(i%23), float64(i%17), ts))
+			recorded.Add(1)
+		}
+	}()
+	finished := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	m := geo.STMetric{}
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(u UserID) {
+			defer wg.Done()
+			for q := int64(0); !finished(); q++ {
+				h := s.History(u)
+				if h == nil {
+					continue
+				}
+				before := append([]geo.STPoint(nil), h.Points()...)
+				if _, _, ok := h.Closest(pt(5, 5, q*37%(n*10)), m); !ok {
+					t.Error("Closest found nothing in a non-empty view")
+					return
+				}
+				// Let the writer move on before looking again.
+				for target := recorded.Load() + users; recorded.Load() < target && !finished(); {
+					runtime.Gosched()
+				}
+				if h.Len() != len(before) {
+					t.Errorf("view Len went from %d to %d", len(before), h.Len())
+					return
+				}
+				for i, p := range h.Points() {
+					if p != before[i] {
+						t.Errorf("view sample %d changed from %+v to %+v", i, before[i], p)
+						return
+					}
+				}
+			}
+		}(UserID(r))
+	}
+	wg.Wait()
+	<-done
+	if s.NumSamples() != n {
+		t.Fatalf("NumSamples=%d", s.NumSamples())
+	}
+	for u := UserID(0); u < users; u++ {
+		pts := s.History(u).Points()
+		for i := 1; i < len(pts); i++ {
+			if pts[i].T < pts[i-1].T {
+				t.Fatalf("user %d history out of order at %d", u, i)
+			}
+		}
 	}
 }
 

@@ -51,6 +51,12 @@ func (t *TieredStore) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterCounterFunc(obs.MetricStorageColdReads,
 		"Cold-tier run reads, by result.",
 		metrics.Labels{"result": "error"}, t.coldErrs.Load)
+	r.RegisterCounterFunc(obs.MetricStorageColdKNN,
+		"KNN queries by whether a time bound ruled out the cold tier.",
+		metrics.Labels{"result": "skipped"}, t.coldKNNSkipped.Load)
+	r.RegisterCounterFunc(obs.MetricStorageColdKNN,
+		"KNN queries by whether a time bound ruled out the cold tier.",
+		metrics.Labels{"result": "scanned"}, t.coldKNNScanned.Load)
 	r.RegisterGaugeFunc(obs.MetricStorageHotSamples,
 		"PHL samples resident in memory (warm + fresh tiers).",
 		nil, func() float64 {

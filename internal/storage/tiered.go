@@ -160,6 +160,9 @@ type TieredStore struct {
 	coldErrs   atomic.Int64
 	faults     atomic.Int64
 	walFailed  atomic.Bool
+
+	coldKNNSkipped atomic.Int64
+	coldKNNScanned atomic.Int64
 }
 
 var (
@@ -719,7 +722,8 @@ func coldPrefix(pts []geo.STPoint, cut int64) []geo.STPoint {
 
 // History implements phl.Storer: the user's full history, cold and hot
 // tiers merged into the exact all-hot sample order. When the user has
-// no cold samples the in-memory history is returned without copying.
+// no cold samples and only one in-memory tier, a read-only view of that
+// tier is returned without copying (phl.History.View).
 // On a cold read error the result silently omits the unreadable run —
 // and the fault counter moves, so the server suppresses any decision
 // derived from it.
@@ -749,9 +753,9 @@ func (t *TieredStore) History(u phl.UserID) *phl.History {
 			if tier.fresh == nil {
 				return &phl.History{}
 			}
-			return tier.fresh
+			return tier.fresh.View()
 		case tier.fresh == nil || tier.fresh.Len() == 0:
-			return tier.warm
+			return tier.warm.View()
 		}
 	}
 	var merged []geo.STPoint
@@ -902,11 +906,29 @@ func (t *TieredStore) UsersInBox(b geo.STBox) []phl.UserID { return t.UsersIn(b)
 // CountUsersInBox implements stindex.Index.
 func (t *TieredStore) CountUsersInBox(b geo.STBox) int { return t.CountUsersIn(b) }
 
+// coldRuledOutLocked reports whether time alone puts every cold sample
+// at least kth from q, so that no cold run can pass KNearestUsers'
+// per-run pruning test. Cold samples have T <= cut-1 and DistToBox is
+// never below its time term, so for q.T >= cut each run lies at least
+// Scale·(q.T-(cut-1)) away. It is false before the first demotion, for
+// a historical query (q.T < cut), with fewer than k hot candidates
+// (kth = +Inf) and when the time difference overflows. Caller holds
+// t.mu (read).
+func (t *TieredStore) coldRuledOutLocked(q geo.STPoint, m geo.STMetric, kth float64) bool {
+	if t.cut == math.MinInt64 || q.T < t.cut {
+		return false
+	}
+	dt := q.T - (t.cut - 1)
+	return dt > 0 && float64(dt)*m.Scale() >= kth
+}
+
 // KNearestUsers implements stindex.Index: the hot grid's answer,
 // augmented with cold candidates whose catalog bounding boxes the
 // metric cannot rule out. Exact whenever no two candidate users sit at
 // exactly equal distance (ties may swap which equal-distance witness
-// is reported — the anonymity level is unaffected).
+// is reported — the anonymity level is unaffected). A present-time
+// query whose k-th hot distance time alone cannot beat skips the cold
+// runs without touching them (coldRuledOutLocked).
 func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclude map[phl.UserID]bool) []stindex.UserPoint {
 	if k <= 0 {
 		return nil
@@ -943,7 +965,14 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 		}
 		return bound
 	}
-	for _, u := range t.order {
+	order := t.order
+	if t.coldRuledOutLocked(q, m, kthBound()) {
+		t.coldKNNSkipped.Add(1)
+		order = nil
+	} else {
+		t.coldKNNScanned.Add(1)
+	}
+	for _, u := range order {
 		if exclude != nil && exclude[u] {
 			continue
 		}
@@ -1033,6 +1062,11 @@ type Stats struct {
 	ColdHits       int64
 	ColdMisses     int64
 	ColdErrors     int64
+	// ColdKNNSkipped counts KNN queries whose cold runs the time bound
+	// ruled out; ColdKNNScanned counts those that walked every user's
+	// runs.
+	ColdKNNSkipped int64
+	ColdKNNScanned int64
 	HotSamples     int
 	ColdSamples    int
 	ChainFiles     int
@@ -1059,6 +1093,8 @@ func (t *TieredStore) Stats() Stats {
 		ColdHits:       t.coldHits.Load(),
 		ColdMisses:     t.coldMisses.Load(),
 		ColdErrors:     t.coldErrs.Load(),
+		ColdKNNSkipped: t.coldKNNSkipped.Load(),
+		ColdKNNScanned: t.coldKNNScanned.Load(),
 		HotSamples:     hot,
 		ColdSamples:    cold,
 		ChainFiles:     chainLen,

@@ -190,6 +190,100 @@ func TestTieredKNNMatchesGrid(t *testing.T) {
 	}
 }
 
+// TestTieredKNNColdTimeBound pins the edge of KNearestUsers' time bound
+// against an all-hot twin. One user's only sample is cold at T = cut-1
+// right at the query position, so it lies exactly (q.T-cut+1)·Scale
+// from a query at q.T >= cut; k hot users sit just inside or just
+// outside that distance. A bound even one second too aggressive skips
+// the cold run in the "just inside" cases and drops the nearest user.
+func TestTieredKNNColdTimeBound(t *testing.T) {
+	const (
+		cut    = int64(10000)
+		window = int64(1000)
+		coldU  = phl.UserID(100)
+		clockU = phl.UserID(200) // its sample fixes maxT, hence cut
+	)
+	m := geo.STMetric{TimeScale: 2}
+	cases := []struct {
+		name     string
+		qT       int64
+		k        int
+		kth      float64 // the k-th near hot user's distance (others slightly nearer)
+		tie      bool    // the k-th hot user and the cold user are equally near
+		wantSkip bool
+		wantCold bool
+	}{
+		// q.T = cut+10: the cold sample is 11·2 = 22 away.
+		{"just inside the bound", cut + 10, 3, 23, false, false, true},
+		{"just outside the bound", cut + 10, 3, 21, false, true, false},
+		{"exact tie with the bound", cut + 10, 3, 22, true, true, false},
+		// q.T = cut: the cold sample is 1·2 = 2 away.
+		{"q.T == cut, inside", cut, 3, 3, false, false, true},
+		{"q.T == cut, outside", cut, 3, 1, false, true, false},
+		// A historical query is always scanned.
+		{"q.T < cut", cut - 1, 3, 1, false, false, true},
+		// k = 5 > the 4 hot users: no k-th hot distance to beat.
+		{"fewer than k hot users", cut + 10, 5, 23, false, false, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ts := mustOpen(t, Options{Dir: "store", FS: NewMemFS(), HotWindow: window, SnapshotEvery: 1 << 20})
+			defer ts.Close()
+			ref := phl.NewStore()
+			grid := stindex.NewGrid(500, 900)
+			record := func(u phl.UserID, p geo.STPoint) {
+				ref.Record(u, p)
+				grid.Insert(u, p)
+				ts.Record(u, p)
+				ts.Insert(u, p)
+			}
+			q := geo.STPoint{P: geo.Point{X: 0, Y: 0}, T: c.qT}
+			hotT := max(c.qT, cut)
+			for i := 0; i < 3; i++ {
+				// Distinct, exactly representable distances: no ties among
+				// the hot users themselves.
+				x := c.kth - 0.25*float64(2-i)
+				record(phl.UserID(i), geo.STPoint{P: geo.Point{X: x, Y: 0}, T: hotT})
+			}
+			record(coldU, geo.STPoint{P: q.P, T: cut - 1})
+			record(clockU, geo.STPoint{P: geo.Point{X: 1e6, Y: 1e6}, T: cut + window})
+			if err := ts.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if st := ts.Stats(); st.ColdSamples != 1 || ts.cut != cut {
+				t.Fatalf("setup: %d cold samples, cut %d; want 1 and %d", st.ColdSamples, ts.cut, cut)
+			}
+
+			before := ts.Stats()
+			got := ts.KNearestUsers(q, c.k, m, nil)
+			after := ts.Stats()
+			skipped := after.ColdKNNSkipped - before.ColdKNNSkipped
+			scanned := after.ColdKNNScanned - before.ColdKNNScanned
+			if skipped+scanned != 1 || (skipped == 1) != c.wantSkip {
+				t.Fatalf("skipped %d, scanned %d; want skip=%v", skipped, scanned, c.wantSkip)
+			}
+
+			want := grid.KNearestUsers(q, c.k, m, nil)
+			if len(got) != len(want) {
+				t.Fatalf("KNN returned %d users, want %d", len(got), len(want))
+			}
+			hasCold := false
+			for i := range want {
+				wd, gd := m.Dist(q, want[i].Point), m.Dist(q, got[i].Point)
+				// At an exact tie either equal-distance user is a correct
+				// witness; the distance at every rank must still agree.
+				if wd != gd || (!c.tie && got[i].User != want[i].User) {
+					t.Fatalf("rank %d: (%d, %g), want (%d, %g)", i, got[i].User, gd, want[i].User, wd)
+				}
+				hasCold = hasCold || got[i].User == coldU
+			}
+			if hasCold != c.wantCold {
+				t.Fatalf("cold user in answer = %v, want %v", hasCold, c.wantCold)
+			}
+		})
+	}
+}
+
 func TestTieredRecoveryAfterClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	fsys := NewMemFS()

@@ -90,7 +90,8 @@ type WAL struct {
 	syncing bool     // a group-commit fsync is in flight
 	failed  error    // sticky first error
 
-	buf []byte
+	buf     []byte // scratch: one framed record
+	payload []byte // scratch: one record's payload
 
 	appends atomic.Int64
 	fsyncs  atomic.Int64
@@ -186,11 +187,10 @@ func (w *WAL) Append(u phl.UserID, p geo.STPoint) (uint64, error) {
 	if w.failed != nil {
 		return 0, w.failed
 	}
-	w.buf = w.buf[:0]
-	payload := appendSample(nil, u, p)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(payload)))
-	w.buf = append(w.buf, payload...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc(payload))
+	w.payload = appendSample(w.payload[:0], u, p)
+	w.buf = binary.AppendUvarint(w.buf[:0], uint64(len(w.payload)))
+	w.buf = append(w.buf, w.payload...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc(w.payload))
 	if _, err := w.seg.Write(w.buf); err != nil {
 		return 0, w.fail(err)
 	}

@@ -76,6 +76,34 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// Every location update goes through WAL.Append, which frames the
+// record in buffers the WAL reuses: steady-state appends allocate
+// nothing, on either coordinate encoding.
+func TestWriteAheadAppendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, err := openWAL(OSFS{}, t.TempDir(), SyncNone, 1<<30, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		u, p := testSample(i)
+		if i%2 == 1 {
+			p.P.X /= 3 // not fixed-point: raw IEEE bits
+		}
+		if _, err := w.Append(u, p); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("WAL.Append allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestWALSkipsSnapshottedPrefix(t *testing.T) {
 	fsys := NewMemFS()
 	w, _ := openWAL(fsys, "wal", SyncBatch, 1<<20, 0, nil)

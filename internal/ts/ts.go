@@ -624,6 +624,11 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 					"Cold-tier run reads, by result.",
 					metrics.Labels{"result": result}, func() int64 { return 0 })
 			}
+			for _, result := range []string{"skipped", "scanned"} {
+				r.RegisterCounterFunc(obs.MetricStorageColdKNN,
+					"KNN queries by whether a time bound ruled out the cold tier.",
+					metrics.Labels{"result": result}, func() int64 { return 0 })
+			}
 			for _, name := range []string{
 				obs.MetricStorageWALLag, obs.MetricStorageHotSamples,
 				obs.MetricStorageColdSamples, obs.MetricStorageChainFiles,
