@@ -61,7 +61,7 @@ func main() {
 		snapshot   = flag.String("snapshot", "", "PHL snapshot file: loaded at boot, written every -snapshot-interval and on SIGINT/SIGTERM")
 
 		walDir    = flag.String("wal-dir", "", "durable tiered PHL storage directory: write-ahead log + incremental snapshots + cold tier; boot recovers the PHL from it (see DESIGN.md §12)")
-		walFsync  = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (group commit, default), always (fsync per record), none (fsync only on rotation/shutdown)")
+		walFsync  = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (group commit, default: an update is acknowledged once an fsync covering it completes; one fsync covers a /v1/batch run of location frames and every record written while the previous fsync was in flight), always (the same group commit as batch), none (fsync only on rotation/shutdown)")
 		hotWindow = flag.Duration("hot-window", time.Hour, "how much recent history stays in memory; older samples demote to on-disk runs (needs -wal-dir)")
 		coldCache = flag.Int("cold-cache-entries", 1024, "LRU cache capacity for cold-tier run reads (needs -wal-dir)")
 		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "periodic PHL snapshot period (needs -snapshot)")

@@ -15,8 +15,15 @@
 //  4. Pseudonym hygiene — within each server instance, no pseudonym
 //     ever maps to two users.
 //
+// TestStorageCrashSchedulesBatched repeats the schedules with location
+// updates sent through RecordLocations in seeded runs, one WAL write and
+// one group commit per run, on 512-byte segments so that runs cross the
+// rotation threshold; a run counts as acknowledged once the call returns
+// with the store healthy.
+//
 // Every schedule is a pure function of its seed; a failure replays
-// with -run 'TestStorageCrashSchedules/seed=N'.
+// with -run 'TestStorageCrashSchedules/seed=N' (or
+// 'TestStorageCrashSchedulesBatched/seed=N').
 package chaos_test
 
 import (
@@ -145,12 +152,86 @@ func TestStorageCrashSchedules(t *testing.T) {
 		sc := mkCrashSchedule(seed)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runCrashSchedule(t, sc)
+			runCrashSchedule(t, sc, (*crashRig).perRecord)
 		})
 	}
 }
 
-func runCrashSchedule(t *testing.T, sc crashSchedule) {
+func TestStorageCrashSchedulesBatched(t *testing.T) {
+	const seeds = 144
+	for seed := uint64(0); seed < seeds; seed++ {
+		sc := mkCrashSchedule(seed)
+		sc.segBytes = 512
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runCrashSchedule(t, sc, (*crashRig).runs)
+		})
+	}
+}
+
+// crashRig is one schedule's server, store and the bookkeeping its
+// traffic feeds the invariants with.
+type crashRig struct {
+	sc             crashSchedule
+	srv            *ts.Server
+	st             *storage.TieredStore
+	acked          *ackedSet
+	checkPseudonym func(ts.Decision, phl.UserID)
+}
+
+// ack tracks updates as acknowledged: the call that recorded them has
+// returned with the store healthy, under a policy that fsyncs.
+func (d *crashRig) ack(samples ...phl.Sample) {
+	if d.st.StorageFailed() || d.sc.sync == storage.SyncNone {
+		return
+	}
+	for _, x := range samples {
+		d.acked.add(x.User, x.Point)
+	}
+}
+
+// perRecord drives ops operations, one update per call: every fifth is
+// a service request (which also records the location), the rest are
+// plain location updates.
+func (d *crashRig) perRecord(rng *rand.Rand, ops int) {
+	tm := int64(0)
+	for i := 0; i < ops; i++ {
+		u := phl.UserID(rng.Intn(d.sc.users))
+		p := crashPoint(rng, &tm)
+		if i%5 == 4 {
+			d.checkPseudonym(d.srv.Request(u, p, "svc", nil), u)
+		} else {
+			d.srv.RecordLocation(u, p)
+		}
+		d.ack(phl.Sample{User: u, Point: p})
+	}
+}
+
+// runs drives ops operations in steps: a service request (one step in
+// five) or a run of 1–64 location updates through RecordLocations,
+// each update one operation. A run is acknowledged as a whole.
+func (d *crashRig) runs(rng *rand.Rand, ops int) {
+	tm := int64(0)
+	for done := 0; done < ops; {
+		if rng.Intn(5) == 0 {
+			u := phl.UserID(rng.Intn(d.sc.users))
+			p := crashPoint(rng, &tm)
+			d.checkPseudonym(d.srv.Request(u, p, "svc", nil), u)
+			d.ack(phl.Sample{User: u, Point: p})
+			done++
+			continue
+		}
+		run := make([]phl.Sample, min(1+rng.Intn(64), ops-done))
+		for i := range run {
+			run[i] = phl.Sample{User: phl.UserID(rng.Intn(d.sc.users)), Point: crashPoint(rng, &tm)}
+		}
+		d.srv.RecordLocations(run)
+		d.ack(run...)
+		done += len(run)
+	}
+}
+
+func runCrashSchedule(t *testing.T, sc crashSchedule, drive func(d *crashRig, rng *rand.Rand, ops int)) {
 	fsys := storage.NewMemFS()
 	st, _, err := storage.Open(sc.options(fsys))
 	if err != nil {
@@ -174,21 +255,8 @@ func runCrashSchedule(t *testing.T, sc crashSchedule) {
 		pseudonyms[dec.Request.Pseudonym] = u
 	}
 
-	// Drive killAt operations; every fifth is a service request (which
-	// also records the location), the rest are plain location updates.
-	driveOne := func(rng *rand.Rand, tm *int64, i int) {
-		u := phl.UserID(rng.Intn(sc.users))
-		p := crashPoint(rng, tm)
-		if i%5 == 4 {
-			dec := srv.Request(u, p, "svc", nil)
-			checkPseudonym(dec, u)
-		} else {
-			srv.RecordLocation(u, p)
-		}
-		if !st.StorageFailed() && sc.sync != storage.SyncNone {
-			acked.add(u, p)
-		}
-	}
+	d := &crashRig{sc: sc, srv: srv, st: st, acked: acked, checkPseudonym: checkPseudonym}
+	// Drive killAt operations.
 	if sc.concurrent {
 		// Concurrent writers: each drives its own deterministic stream;
 		// ack tracking happens after Record returns, so every tracked
@@ -200,19 +268,13 @@ func runCrashSchedule(t *testing.T, sc crashSchedule) {
 			go func(w int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(sc.seed)*100 + int64(w)))
-				tm := int64(0)
-				for i := 0; i < sc.killAt/workers; i++ {
-					driveOne(rng, &tm, i)
-				}
+				drive(d, rng, sc.killAt/workers)
 			}(w)
 		}
 		wg.Wait()
 	} else {
 		rng := rand.New(rand.NewSource(int64(sc.seed) * 100))
-		tm := int64(0)
-		for i := 0; i < sc.killAt; i++ {
-			driveOne(rng, &tm, i)
-		}
+		drive(d, rng, sc.killAt)
 	}
 
 	// Kill the machine: unsynced bytes tear (keeping a seeded prefix,

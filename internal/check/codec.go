@@ -383,12 +383,18 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 			return wire.ParseBinaryResponse(frame)
 		})
 
-	// dispatch mirrors httpapi.handleBatch's decode loop.
+	// dispatch mirrors httpapi.handleBatch's decode loop: each run of
+	// consecutive location frames goes to RecordLocations in one call,
+	// handed over before the next service call, before an error return
+	// and at the end of the batch. The text leg records one location per
+	// call, so the legs' agreement covers the batched path.
 	dispatch := func(batch []byte, n int) error {
 		dec, err := wire.NewBatchDecoder(batch)
 		if err != nil {
 			return err
 		}
+		var locs []phl.Sample
+		defer func() { srv.RecordLocations(locs) }()
 		for dec.Next() {
 			switch dec.Type() {
 			case wire.FrameLocation:
@@ -396,8 +402,10 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 				if err != nil {
 					return err
 				}
-				srv.RecordLocation(phl.UserID(l.User), l.Point())
+				locs = append(locs, phl.Sample{User: phl.UserID(l.User), Point: l.Point()})
 			case wire.FrameServiceCall:
+				srv.RecordLocations(locs)
+				locs = locs[:0]
 				c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
 				if err != nil {
 					return err

@@ -36,6 +36,9 @@ type StorageOracle struct {
 	store *storage.TieredStore
 	rng   *rand.Rand
 	divs  []Divergence
+	// leg names the view under test in divergences ("tiered" when
+	// empty).
+	leg string
 }
 
 // storageOracleOptions returns the aggressive demotion configuration:
@@ -64,26 +67,7 @@ func storageOracleOptions(fsys storage.FS, span int64) storage.Options {
 func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	type rec struct {
-		u phl.UserID
-		p geo.STPoint
-	}
-	var recs []rec
-	half := cfg.Extent / 2
-	step := cfg.Extent / 20
-	for u := 0; u < cfg.Users; u++ {
-		pos := geo.Point{X: rng.Float64()*cfg.Extent - half, Y: rng.Float64()*cfg.Extent - half}
-		for i := 0; i < cfg.SamplesPerUser; i++ {
-			pos.X = clamp(pos.X+rng.NormFloat64()*step, -half, half)
-			pos.Y = clamp(pos.Y+rng.NormFloat64()*step, -half, half)
-			t := int64(float64(cfg.TimeSpan) * (float64(i) + rng.Float64()) / float64(cfg.SamplesPerUser))
-			recs = append(recs, rec{u: phl.UserID(u), p: geo.STPoint{P: pos, T: t}})
-		}
-	}
-	// Stable by time: per-user order (already time-sorted) survives,
-	// the global stream becomes time-monotone.
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].p.T < recs[j].p.T })
+	recs := oracleStream(cfg, rng)
 
 	metric := geo.STMetric{TimeScale: cfg.TimeScale}
 	o := &StorageOracle{
@@ -107,8 +91,8 @@ func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 	o.Tiered = &Population{Cfg: cfg, Store: st, Index: st, Metric: metric, Rng: rng}
 
 	for i, r := range recs {
-		o.Hot.Record(r.u, r.p)
-		o.Tiered.Record(r.u, r.p)
+		o.Hot.Record(r.User, r.Point)
+		o.Tiered.Record(r.User, r.Point)
 		if i == len(recs)/2 {
 			// Clean restart mid-workload: recovery must hand back the
 			// exact same observable PHL before ingestion continues.
@@ -126,6 +110,28 @@ func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 	return o, nil
 }
 
+// oracleStream draws the oracle's ingestion stream from rng: the same
+// random walks NewPopulation uses, replayed in global time order.
+// cfg must have its defaults applied.
+func oracleStream(cfg PopulationConfig, rng *rand.Rand) []phl.Sample {
+	var recs []phl.Sample
+	half := cfg.Extent / 2
+	step := cfg.Extent / 20
+	for u := 0; u < cfg.Users; u++ {
+		pos := geo.Point{X: rng.Float64()*cfg.Extent - half, Y: rng.Float64()*cfg.Extent - half}
+		for i := 0; i < cfg.SamplesPerUser; i++ {
+			pos.X = clamp(pos.X+rng.NormFloat64()*step, -half, half)
+			pos.Y = clamp(pos.Y+rng.NormFloat64()*step, -half, half)
+			t := int64(float64(cfg.TimeSpan) * (float64(i) + rng.Float64()) / float64(cfg.SamplesPerUser))
+			recs = append(recs, phl.Sample{User: phl.UserID(u), Point: geo.STPoint{P: pos, T: t}})
+		}
+	}
+	// Stable by time: per-user order (already time-sorted) survives,
+	// the global stream becomes time-monotone.
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Point.T < recs[j].Point.T })
+	return recs
+}
+
 // Store returns the live TieredStore under test (it changes identity
 // across the mid-workload restart).
 func (o *StorageOracle) Store() *storage.TieredStore { return o.store }
@@ -134,7 +140,11 @@ func (o *StorageOracle) Store() *storage.TieredStore { return o.store }
 func (o *StorageOracle) Close() error { return o.store.Close() }
 
 func (o *StorageOracle) fail(kind string, q int, format string, args ...any) {
-	o.divs = append(o.divs, Divergence{Index: "tiered", Kind: kind, Query: q,
+	leg := o.leg
+	if leg == "" {
+		leg = "tiered"
+	}
+	o.divs = append(o.divs, Divergence{Index: leg, Kind: kind, Query: q,
 		Detail: fmt.Sprintf(format, args...)})
 }
 

@@ -8,6 +8,7 @@ import (
 	"histanon/internal/anon"
 	"histanon/internal/geo"
 	"histanon/internal/phl"
+	"histanon/internal/stindex"
 	"histanon/internal/storage"
 	"histanon/internal/ts"
 	"histanon/internal/wire"
@@ -174,6 +175,37 @@ func TestStorageOracleServerDecisions(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestStorageDifferentialBatchedIngest holds batched ingest to
+// per-sample ingest: for 60 seeds and both store kinds (phl.Store plus
+// grid, and the tiered store with the oracle's aggressive demotion),
+// a server fed RecordLocations in seeded runs of 1–64 must be
+// indistinguishable from one fed RecordLocation per sample.
+func TestStorageDifferentialBatchedIngest(t *testing.T) {
+	var (
+		_ ts.BatchStorer = (*phl.Store)(nil)
+		_ ts.BatchIndex  = (*stindex.Grid)(nil)
+		_ ts.BatchStorer = (*storage.TieredStore)(nil)
+		_ ts.BatchIndex  = (*storage.TieredStore)(nil)
+	)
+	for seed := int64(1); seed <= 60; seed++ {
+		cfg := PopulationConfig{
+			Seed:           seed,
+			Users:          6 + int(seed%20),
+			SamplesPerUser: 8 + int(seed%9),
+		}
+		divs, err := RunBatchedIngestDifferential(cfg, 24)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, d := range divs {
+			t.Errorf("seed %d: [%s/%s q=%d] %s", seed, d.Index, d.Kind, d.Query, d.Detail)
+		}
+		if len(divs) != 0 {
+			t.Fatalf("seed %d: %d divergences", seed, len(divs))
 		}
 	}
 }

@@ -26,8 +26,14 @@ import (
 // frame of decision frames (one per service call, in order); anything
 // else returns the BatchResponse JSON mirror.
 //
-// Location frames feed ts.Server.RecordLocation straight off the
-// request buffer (the parse is zero-copy and zero-alloc); service-call
+// Each run of consecutive location frames is ingested as one unit: the
+// frames are parsed off the request buffer (zero-copy, zero-alloc) into
+// a pooled run handed to ts.Server.RecordLocations, so a run costs one
+// store call, one index call and, on the durable store, one WAL write
+// and one group commit. The run is handed over before every
+// service-call frame, so Algorithm 1 sees every location earlier in the
+// batch, and before any error response and the final response: the
+// response acknowledges every location the batch recorded. Service-call
 // frames go through the same traced request pipeline as POST
 // /v1/request, including per-frame traceparent propagation.
 
@@ -52,6 +58,14 @@ var batchBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64<<10)
 		return &b
+	},
+}
+
+// samplePool recycles the location runs handleBatch collects.
+var samplePool = sync.Pool{
+	New: func() any {
+		s := make([]phl.Sample, 0, 512)
+		return &s
 	},
 }
 
@@ -119,6 +133,13 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	decFrames := (*respp)[:0]
 	defer func() { *respp = decFrames }()
 
+	runp := samplePool.Get().(*[]phl.Sample)
+	run := (*runp)[:0]
+	defer func() {
+		*runp = run[:0]
+		samplePool.Put(runp)
+	}()
+
 	var jsonResp BatchResponse
 	frames, locations, calls := 0, 0, 0
 	for dec.Next() {
@@ -127,17 +148,16 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case wire.FrameLocation:
 			l, err := wire.ParseLocationPayload(dec.Flags(), dec.Payload())
 			if err != nil {
-				ws.DecodeErrors.Add(1)
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+				h.rejectBatch(w, run, err.Error())
 				return
 			}
-			h.srv.RecordLocation(phl.UserID(l.User), l.Point())
+			run = append(run, phl.Sample{User: phl.UserID(l.User), Point: l.Point()})
 			locations++
 		case wire.FrameServiceCall:
+			run = h.recordRun(run)
 			c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
 			if err != nil {
-				ws.DecodeErrors.Add(1)
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+				h.rejectBatch(w, run, err.Error())
 				return
 			}
 			calls++
@@ -162,15 +182,14 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			} else {
 				ws.Other.Add(1)
 			}
-			ws.DecodeErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: "batch ingest accepts location and service_call frames, got " + dec.Type().String()})
+			h.rejectBatch(w, run,
+				"batch ingest accepts location and service_call frames, got "+dec.Type().String())
 			return
 		}
 	}
+	run = h.recordRun(run)
 	if err := dec.Err(); err != nil {
-		ws.DecodeErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		h.rejectBatch(w, run, err.Error())
 		return
 	}
 	ws.Batches.Add(1)
@@ -194,6 +213,22 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	jsonResp.Frames = frames
 	jsonResp.Locations = locations
 	writeJSON(w, http.StatusOK, jsonResp)
+}
+
+// recordRun hands a run of location updates to the server and returns
+// the run emptied for reuse.
+func (h *Handler) recordRun(run []phl.Sample) []phl.Sample {
+	h.srv.RecordLocations(run)
+	return run[:0]
+}
+
+// rejectBatch answers a malformed batch with 400. The locations decoded
+// before the malformed frame are recorded first: frames ahead of a
+// fault have always been accepted.
+func (h *Handler) rejectBatch(w http.ResponseWriter, run []phl.Sample, msg string) {
+	h.recordRun(run)
+	h.srv.Wire.DecodeErrors.Add(1)
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
 }
 
 // decisionFrame projects a ts.Decision onto the binary wire, field for

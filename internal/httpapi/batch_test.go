@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -285,5 +286,100 @@ func TestBatchSenderEndToEnd(t *testing.T) {
 	}
 	if !decisions[0].Forwarded || decisions[0].MatchedLBQID != "commute" {
 		t.Fatalf("decision: %+v", decisions[0])
+	}
+}
+
+// TestBatchRunRecordedBeforeServiceCall pins the handler's flush order:
+// a service call whose only possible witnesses are other users'
+// location frames earlier in the same batch must see them, and get a
+// generalized k-anonymous context.
+func TestBatchRunRecordedBeforeServiceCall(t *testing.T) {
+	hts, srv, _ := newTestServer(t)
+	if err := NewClient(hts.URL).AddLBQID(1, commuteSpec); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Store().NumSamples(); n != 0 {
+		t.Fatalf("PHL holds %d samples before the batch", n)
+	}
+	var frames []byte
+	for u := int64(2); u <= 9; u++ {
+		frames = wire.AppendLocation(frames, wire.LocationUpdate{
+			User: u, X: float64(u * 20), Y: float64(u * 15), T: 7*tgran.Hour + u*30,
+		})
+	}
+	frames, err := wire.AppendServiceCall(frames, wire.ServiceCall{
+		User: 1, X: 100, Y: 100, T: 7*tgran.Hour + 600, Service: "navigation",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := wire.AppendBatch(nil, 9, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postBatch(t, hts.URL, batch, WireContentType)
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	dec, err := wire.NewBatchDecoder(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Next() || dec.Type() != wire.FrameDecision {
+		t.Fatalf("no decision frame in the response (%v)", dec.Err())
+	}
+	d, err := wire.ParseDecisionPayload(dec.Flags(), dec.Payload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Forwarded || !d.Generalized || !d.HKAnonymity || !d.HasContext {
+		t.Fatalf("call after the run: %+v, want a forwarded k-anonymous generalization", d)
+	}
+	if n := srv.Store().CountUsersIn(d.Context); n < 3 {
+		t.Fatalf("context %v holds %d users, want k=3", d.Context, n)
+	}
+}
+
+// TestBatchMalformedFrameRecordsEarlierRun: a batch whose frame after
+// N location frames is malformed gets a 400, and the N locations are
+// recorded, as they were when each frame was recorded on decode.
+func TestBatchMalformedFrameRecordsEarlierRun(t *testing.T) {
+	request := &wire.Request{ID: 1, Pseudonym: "p", Service: "s"}
+	request.Context.Area.MaxX, request.Context.Area.MaxY, request.Context.Time.End = 1, 1, 1
+	requestFrame, err := wire.EncodeBinaryRequest(request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tails := map[string][]byte{
+		"non-finite location": wire.AppendLocation(nil, wire.LocationUpdate{User: 99, X: math.NaN(), Y: 1, T: 1}),
+		"request frame":       requestFrame,
+		"undecodable frame":   make([]byte, 9),
+	}
+	const n = 5
+	for name, tail := range tails {
+		t.Run(name, func(t *testing.T) {
+			hts, srv, _ := newTestServer(t)
+			var frames []byte
+			for u := int64(10); u < 10+n; u++ {
+				frames = wire.AppendLocation(frames, wire.LocationUpdate{User: u, X: float64(u), Y: 2, T: 3})
+			}
+			batch, err := wire.AppendBatch(nil, n+1, append(frames, tail...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := postBatch(t, hts.URL, batch, "")
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if got := srv.Store().NumSamples(); got != n {
+				t.Fatalf("recorded %d samples, want the %d before the malformed frame", got, n)
+			}
+			if got := srv.Wire.DecodeErrors.Load(); got != 1 {
+				t.Fatalf("decode errors %d, want 1", got)
+			}
+		})
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"histanon/internal/phl"
 	"histanon/internal/sp"
 	"histanon/internal/storage"
+	"histanon/internal/tgran"
 	"histanon/internal/ts"
+	"histanon/internal/wire"
 )
 
 // newTieredTestServer builds the HTTP layer over a trusted server
@@ -120,5 +122,69 @@ func TestHealthzNoStorageSection(t *testing.T) {
 	hts, _, _ := newTestServer(t)
 	if hr := getHealth(t, hts.URL); hr.Storage != nil {
 		t.Fatalf("unexpected storage section: %+v", hr.Storage)
+	}
+}
+
+// TestBatchGroupCommitPerRun pins one group commit per run of location
+// frames: a 512-frame /v1/batch on a tiered store at SyncBatch is 512
+// WAL records, one fsync, and the same WAL bytes as 512 single-record
+// appends of the same updates (which fsync once each).
+func TestBatchGroupCommitPerRun(t *testing.T) {
+	open := func() *storage.TieredStore {
+		st, _, err := storage.Open(storage.Options{Dir: "store", FS: storage.NewMemFS(), Sync: storage.SyncBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	st := open()
+	hts := httptest.NewServer(New(ts.New(ts.Config{Store: st}, sp.NewProvider())))
+	t.Cleanup(hts.Close)
+
+	const n = 512
+	rng := rand.New(rand.NewSource(1))
+	locs := make([]wire.LocationUpdate, n)
+	var frames []byte
+	for i := range locs {
+		locs[i] = wire.LocationUpdate{
+			User: int64(rng.Intn(64)), X: rng.Float64() * 4000, Y: rng.Float64() * 4000, T: 7*tgran.Hour + int64(i),
+		}
+		if i%2 == 0 {
+			locs[i].X, locs[i].Y = float64(rng.Intn(4000)), float64(rng.Intn(4000)) // fixed-point coordinates
+		}
+		frames = wire.AppendLocation(frames, locs[i])
+	}
+	batch, err := wire.AppendBatch(nil, n, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	resp := postBatch(t, hts.URL, batch, "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	after := st.Stats()
+	if got := after.WALFsyncs - before.WALFsyncs; got != 1 {
+		t.Errorf("WAL fsyncs for one batch: %d, want 1", got)
+	}
+	if got := after.WALAppends - before.WALAppends; got != n {
+		t.Errorf("WAL records for one batch: %d, want %d", got, n)
+	}
+	if got := st.NumSamples(); got != n {
+		t.Errorf("store holds %d samples, want %d", got, n)
+	}
+
+	ref := open()
+	for _, l := range locs {
+		ref.Record(phl.UserID(l.User), l.Point())
+	}
+	want := ref.Stats()
+	if got := after.WALBytes - before.WALBytes; got != want.WALBytes {
+		t.Errorf("WAL bytes for one batch: %d, want %d as per-record appends write", got, want.WALBytes)
+	}
+	if want.WALFsyncs != n {
+		t.Errorf("per-record appends fsynced %d times, want %d", want.WALFsyncs, n)
 	}
 }

@@ -184,6 +184,13 @@ func (h *History) LTConsistent(boxes []geo.STBox) bool {
 // exact sample order an in-memory History would hold.
 func HistoryFromPoints(pts []geo.STPoint) *History { return &History{pts: pts} }
 
+// Sample is one location update: a user and where and when they were.
+// A run of them is the unit batch ingestion hands to a store.
+type Sample struct {
+	User  UserID
+	Point geo.STPoint
+}
+
 // Storer is the PHL database interface the privacy layers compute over.
 // *Store is the canonical in-memory implementation; the storage package
 // provides a durable hot/cold tiered one. Implementations must be safe
@@ -230,16 +237,26 @@ func NewStore() *Store {
 // Record appends a location sample for the user, creating the history on
 // first use.
 func (s *Store) Record(u UserID, p geo.STPoint) {
+	one := [1]Sample{{User: u, Point: p}}
+	s.RecordBatch(one[:])
+}
+
+// RecordBatch records a run of samples in order, as Record would one at
+// a time, under one acquisition of the store's lock: readers wait for
+// the whole run.
+func (s *Store) RecordBatch(samples []Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.users[u]
-	if !ok {
-		h = &History{}
-		s.users[u] = h
-		s.order = append(s.order, u)
+	for _, x := range samples {
+		h, ok := s.users[x.User]
+		if !ok {
+			h = &History{}
+			s.users[x.User] = h
+			s.order = append(s.order, x.User)
+		}
+		h.Append(x.Point)
 	}
-	h.Append(p)
-	s.count++
+	s.count += len(samples)
 }
 
 // History returns a read-only view of the user's history (see

@@ -137,8 +137,8 @@ func RunStorageBench(dir string, n int) (StorageBenchReport, error) {
 	})
 
 	// Durable ingestion. Fsync-free modes run the full workload; the
-	// fsync-per-batch and fsync-per-record modes run enough of it to
-	// measure steadily without minutes of wall clock on slow disks.
+	// two fsyncing modes run enough of it to measure steadily without
+	// minutes of wall clock on slow disks.
 	ingest := []struct {
 		mode    string
 		policy  storage.SyncPolicy

@@ -35,9 +35,22 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
+					// Odd writers send runs of 32 through InsertBatch
+					// where the index has it, reusing the run's slice.
+					batcher, _ := idx.(interface{ InsertBatch([]phl.Sample) })
+					var run []phl.Sample
 					for i := 0; i < perWriter; i++ {
 						u := phl.UserID(rng.Intn(users))
-						idx.Insert(u, pt(rng.Float64()*2000, rng.Float64()*2000, int64(rng.Intn(7200))))
+						p := pt(rng.Float64()*2000, rng.Float64()*2000, int64(rng.Intn(7200)))
+						if batcher == nil || seed%2 == 0 {
+							idx.Insert(u, p)
+							continue
+						}
+						run = append(run, phl.Sample{User: u, Point: p})
+						if len(run) == 32 || i == perWriter-1 {
+							batcher.InsertBatch(run)
+							run = run[:0]
+						}
 					}
 				}(int64(100 + w))
 			}

@@ -82,14 +82,17 @@ func (g *Grid) key(p geo.STPoint) gridKey {
 	}
 }
 
-// shardOf hashes a cell key onto its shard.
-func (g *Grid) shardOf(k gridKey) *gridShard {
+// shardIndex hashes a cell key onto its shard's index.
+func shardIndex(k gridKey) int {
 	h := uint64(k.cx)*0x9e3779b185ebca87 ^ uint64(k.cy)*0xc2b2ae3d27d4eb4f ^ uint64(k.ct)*0x165667b19e3779f9
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 32
-	return &g.shards[h&(gridShardCount-1)]
+	return int(h & (gridShardCount - 1))
 }
+
+// shardOf returns a cell key's shard.
+func (g *Grid) shardOf(k gridKey) *gridShard { return &g.shards[shardIndex(k)] }
 
 // loadCell snapshots one cell's entries. The returned slice is safe to
 // scan after the shard lock is released (payloads are append-only).
@@ -122,17 +125,86 @@ func (g *Grid) Insert(u phl.UserID, p geo.STPoint) {
 
 	g.meta.Lock()
 	g.users[u] = struct{}{}
+	g.grow(k, k, 1)
+	g.meta.Unlock()
+}
+
+// grow counts n new samples whose cells span lo..hi into the populated
+// bounds. Caller holds meta.
+func (g *Grid) grow(lo, hi gridKey, n int) {
 	if g.n == 0 {
-		g.min, g.max = k, k
+		g.min, g.max = lo, hi
 	} else {
-		g.min.cx = min64(g.min.cx, k.cx)
-		g.min.cy = min64(g.min.cy, k.cy)
-		g.min.ct = min64(g.min.ct, k.ct)
-		g.max.cx = max64(g.max.cx, k.cx)
-		g.max.cy = max64(g.max.cy, k.cy)
-		g.max.ct = max64(g.max.ct, k.ct)
+		g.min = gridKey{min64(g.min.cx, lo.cx), min64(g.min.cy, lo.cy), min64(g.min.ct, lo.ct)}
+		g.max = gridKey{max64(g.max.cx, hi.cx), max64(g.max.cy, hi.cy), max64(g.max.ct, hi.ct)}
 	}
-	g.n++
+	g.n += n
+}
+
+// gridBatch holds InsertBatch's working arrays, pooled across calls:
+// each sample's cell key, and the run's sample indexes bucketed by
+// shard.
+type gridBatch struct {
+	keys  []gridKey
+	order []int32
+}
+
+var gridBatchPool = sync.Pool{New: func() any { return new(gridBatch) }}
+
+// InsertBatch inserts a run of samples, as Insert would one at a time,
+// taking each touched shard's lock once and meta once. A stable counting
+// sort buckets the run by shard, so every cell receives its samples in
+// run order.
+func (g *Grid) InsertBatch(samples []phl.Sample) {
+	n := len(samples)
+	if n == 0 {
+		return
+	}
+	b := gridBatchPool.Get().(*gridBatch)
+	defer gridBatchPool.Put(b)
+	if cap(b.keys) < n {
+		b.keys, b.order = make([]gridKey, n), make([]int32, n)
+	}
+	keys, order := b.keys[:n], b.order[:n]
+
+	// start[s] becomes the first slot of shard s's bucket in order.
+	var start [gridShardCount + 1]int32
+	lo := g.key(samples[0].Point)
+	hi := lo
+	for i, x := range samples {
+		k := g.key(x.Point)
+		keys[i] = k
+		start[shardIndex(k)+1]++
+		lo = gridKey{min64(lo.cx, k.cx), min64(lo.cy, k.cy), min64(lo.ct, k.ct)}
+		hi = gridKey{max64(hi.cx, k.cx), max64(hi.cy, k.cy), max64(hi.ct, k.ct)}
+	}
+	for s := 1; s <= gridShardCount; s++ {
+		start[s] += start[s-1]
+	}
+	next := start
+	for i, k := range keys {
+		s := shardIndex(k)
+		order[next[s]] = int32(i)
+		next[s]++
+	}
+	for s := 0; s < gridShardCount; s++ {
+		if start[s] == start[s+1] {
+			continue
+		}
+		sh := &g.shards[s]
+		sh.mu.Lock()
+		for _, i := range order[start[s]:start[s+1]] {
+			k := keys[i]
+			sh.cells[k] = append(sh.cells[k], samples[i])
+		}
+		sh.mu.Unlock()
+	}
+
+	g.meta.Lock()
+	for _, x := range samples {
+		g.users[x.User] = struct{}{}
+	}
+	g.grow(lo, hi, n)
 	g.meta.Unlock()
 }
 

@@ -42,10 +42,7 @@ import (
 var inf = math.Inf(1)
 
 // UserPoint pairs a user with one of their location samples.
-type UserPoint struct {
-	User  phl.UserID
-	Point geo.STPoint
-}
+type UserPoint = phl.Sample
 
 // Index answers spatio-temporal queries over a growing set of location
 // samples. All implementations in this package are safe for concurrent

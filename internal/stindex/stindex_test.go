@@ -3,6 +3,7 @@ package stindex
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -305,5 +306,43 @@ func TestGridKNearestAllUsersFast(t *testing.T) {
 		if math.Abs(m.Dist(got[i].Point, pt(4000, 4000, 2*86400))-m.Dist(want[i].Point, pt(4000, 4000, 2*86400))) > 1e-9 {
 			t.Fatalf("result %d differs from brute force", i)
 		}
+	}
+}
+
+// TestGridInsertBatchMatchesInsert: a grid fed runs through InsertBatch
+// holds exactly what one fed the same samples through Insert holds —
+// every cell's samples in arrival order, the user set, the count and
+// the populated bounds.
+func TestGridInsertBatchMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	samples := make([]phl.Sample, 5000)
+	for i := range samples {
+		// A small extent and few users put many samples of a run into
+		// the same cell and shard.
+		samples[i] = phl.Sample{
+			User:  phl.UserID(rng.Intn(40)),
+			Point: pt(rng.Float64()*3000-1500, rng.Float64()*3000-1500, int64(rng.Intn(20000))-5000),
+		}
+	}
+	single, batched := NewGrid(500, 900), NewGrid(500, 900)
+	for _, x := range samples {
+		single.Insert(x.User, x.Point)
+	}
+	batched.InsertBatch(nil)
+	for rest := samples; len(rest) > 0; {
+		n := min(1+rng.Intn(600), len(rest))
+		batched.InsertBatch(rest[:n])
+		rest = rest[n:]
+	}
+	for i := range single.shards {
+		if !reflect.DeepEqual(single.shards[i].cells, batched.shards[i].cells) {
+			t.Fatalf("shard %d cells differ", i)
+		}
+	}
+	if !reflect.DeepEqual(single.users, batched.users) || single.n != batched.n ||
+		single.min != batched.min || single.max != batched.max {
+		t.Fatalf("bookkeeping differs: n %d/%d, min %v/%v, max %v/%v, users %d/%d",
+			single.n, batched.n, single.min, batched.min, single.max, batched.max,
+			len(single.users), len(batched.users))
 	}
 }

@@ -137,7 +137,7 @@ type TieredStore struct {
 	mu      sync.RWMutex
 	users   map[phl.UserID]*userTier
 	order   []phl.UserID
-	hotIdx  stindex.Index
+	hotIdx  *stindex.Grid
 	cut     int64 // T < cut is cold; advances at maintenance
 	maxT    int64
 	haveT   bool
@@ -402,27 +402,40 @@ func (t *TieredStore) noteWALFailure() {
 	}
 }
 
-// Record implements phl.Storer: WAL append, then the in-memory fresh
-// tier, then (per the sync policy) a group-commit fsync. The update is
-// acknowledged durable only when Record returns with the store not
-// failed; after a WAL error the sample still lands in memory so reads
-// stay coherent, but the store reports StorageFailed and the server
-// suppresses.
+// Record implements phl.Storer as a one-sample RecordBatch.
 func (t *TieredStore) Record(u phl.UserID, p geo.STPoint) {
+	one := [1]phl.Sample{{User: u, Point: p}}
+	t.RecordBatch(one[:])
+}
+
+// RecordBatch records a run of samples: one WAL write framing them all,
+// then the in-memory fresh tier, then (per the sync policy) one
+// group-commit fsync covering the run. The run is acknowledged durable
+// only when RecordBatch returns with the store not failed; after a WAL
+// error its samples still land in memory so reads stay coherent, but
+// the store reports StorageFailed and the server suppresses.
+// Maintenance is checked once, after the whole run is in the tiers: it
+// takes wal.LastSeq as the watermark of what the tiers hold, so it must
+// never run between the WAL append and the tier append.
+func (t *TieredStore) RecordBatch(samples []phl.Sample) {
+	if len(samples) == 0 {
+		return
+	}
 	t.mu.Lock()
-	seq, err := t.wal.Append(u, p)
-	tier := t.tier(u)
-	if tier.fresh == nil {
-		tier.fresh = &phl.History{}
+	seq, err := t.wal.AppendBatch(samples)
+	for _, x := range samples {
+		tier := t.tier(x.User)
+		if tier.fresh == nil {
+			tier.fresh = &phl.History{}
+		}
+		tier.fresh.Append(x.Point)
+		if !t.haveT || x.Point.T > t.maxT {
+			t.maxT, t.haveT = x.Point.T, true
+		}
 	}
-	tier.fresh.Append(p)
-	t.freshN++
-	t.hot++
-	if !t.haveT || p.T > t.maxT {
-		t.maxT, t.haveT = p.T, true
-	}
-	maintain := err == nil && t.freshN >= t.opts.SnapshotEvery
-	if maintain {
+	t.freshN += len(samples)
+	t.hot += len(samples)
+	if err == nil && t.freshN >= t.opts.SnapshotEvery {
 		t.maintainLocked()
 	}
 	t.mu.Unlock()
@@ -895,6 +908,13 @@ func (t *TieredStore) Insert(u phl.UserID, p geo.STPoint) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.hotIdx.Insert(u, p)
+}
+
+// InsertBatch is Insert for a run of samples, under one read lock.
+func (t *TieredStore) InsertBatch(samples []phl.Sample) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.hotIdx.InsertBatch(samples)
 }
 
 // Len implements stindex.Index: all samples, hot and cold.

@@ -20,9 +20,12 @@ const (
 	// SyncBatch (the default) group-commits: an append returns once a
 	// single fsync covering it — possibly issued by a concurrent
 	// appender — completes. One disk flush amortizes over every record
-	// written while the previous flush was in flight.
+	// written while the previous flush was in flight, and over every
+	// record of a run written by one AppendBatch.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways fsyncs every record before acknowledging it.
+	// SyncAlways commits exactly as SyncBatch does: Commit does not tell
+	// the two apart, so a record is acknowledged once some fsync
+	// covering it completes, and a run of records is one fsync.
 	SyncAlways
 	// SyncNone never fsyncs from the hot path: durability is bounded
 	// by the OS flush interval. Crash loses the unflushed tail.
@@ -90,7 +93,7 @@ type WAL struct {
 	syncing bool     // a group-commit fsync is in flight
 	failed  error    // sticky first error
 
-	buf     []byte // scratch: one framed record
+	buf     []byte // reused: one run of framed records
 	payload []byte // scratch: one record's payload
 
 	appends atomic.Int64
@@ -182,21 +185,35 @@ func (w *WAL) fail(err error) error {
 // Append writes one record and returns its sequence number. The record
 // is NOT durable until Commit(seq) returns nil.
 func (w *WAL) Append(u phl.UserID, p geo.STPoint) (uint64, error) {
+	one := [1]phl.Sample{{User: u, Point: p}}
+	return w.AppendBatch(one[:])
+}
+
+// AppendBatch writes a run of records with one Write and returns the
+// last one's sequence number. Every record is framed exactly as Append
+// frames it alone. The segment rotates after the run once the run has
+// taken it past the threshold, so a segment can overrun the threshold by
+// up to one run. No record of the run is durable until Commit(seq)
+// returns nil.
+func (w *WAL) AppendBatch(samples []phl.Sample) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
 		return 0, w.failed
 	}
-	w.payload = appendSample(w.payload[:0], u, p)
-	w.buf = binary.AppendUvarint(w.buf[:0], uint64(len(w.payload)))
-	w.buf = append(w.buf, w.payload...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc(w.payload))
+	w.buf = w.buf[:0]
+	for _, x := range samples {
+		w.payload = appendSample(w.payload[:0], x.User, x.Point)
+		w.buf = binary.AppendUvarint(w.buf, uint64(len(w.payload)))
+		w.buf = append(w.buf, w.payload...)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, crc(w.payload))
+	}
 	if _, err := w.seg.Write(w.buf); err != nil {
 		return 0, w.fail(err)
 	}
-	w.seq++
+	w.seq += uint64(len(samples))
 	w.segSize += int64(len(w.buf))
-	w.appends.Add(1)
+	w.appends.Add(int64(len(samples)))
 	w.bytes.Add(int64(len(w.buf)))
 	if w.segSize >= w.segBytes {
 		if err := w.rotate(); err != nil {

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -457,5 +459,68 @@ func TestCodecRoundTripExtremes(t *testing.T) {
 		if u != 12345 || got != p || r.len() != 0 {
 			t.Fatalf("round trip %+v -> %+v (user %d)", p, got, u)
 		}
+	}
+}
+
+// TestWALAppendBatchMatchesAppend: runs written by AppendBatch replay
+// as the same records, under the same sequence numbers and with the
+// same record bytes, as one Append per record. Only the rotation
+// points move: a run that crosses the threshold finishes its segment,
+// and each committed run is one fsync.
+func TestWALAppendBatchMatchesAppend(t *testing.T) {
+	const n, segBytes = 300, 512
+	fsA, fsB := NewMemFS(), NewMemFS()
+	a, _ := openWAL(fsA, "wal", SyncBatch, segBytes, 0, nil)
+	b, _ := openWAL(fsB, "wal", SyncBatch, segBytes, 0, nil)
+	samples := make([]phl.Sample, n)
+	for i := range samples {
+		samples[i].User, samples[i].Point = testSample(i)
+		if i%3 == 0 {
+			samples[i].Point.P.X /= 3 // not fixed-point: raw IEEE bits
+		}
+	}
+	for _, x := range samples {
+		seq, err := a.Append(x.User, x.Point)
+		if err != nil || a.Commit(seq) != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	runs := 0
+	for rest := samples; len(rest) > 0; runs++ {
+		k := min(1+rng.Intn(40), len(rest))
+		seq, err := b.AppendBatch(rest[:k])
+		if err != nil {
+			t.Fatalf("AppendBatch: %v", err)
+		}
+		if want := uint64(n - len(rest) + k); seq != want {
+			t.Fatalf("AppendBatch returned seq %d, want %d", seq, want)
+		}
+		fsyncs := b.fsyncs.Load()
+		if err := b.Commit(seq); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.fsyncs.Load() - fsyncs; got > 1 {
+			t.Fatalf("committing one run took %d fsyncs", got)
+		}
+		rest = rest[k:]
+	}
+	if a.appends.Load() != b.appends.Load() || a.bytes.Load() != b.bytes.Load() {
+		t.Fatalf("records/bytes: Append %d/%d, AppendBatch %d/%d",
+			a.appends.Load(), a.bytes.Load(), b.appends.Load(), b.bytes.Load())
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ra, _ := replayAll(t, fsA, "wal", 0)
+	rb, info := replayAll(t, fsB, "wal", 0)
+	if !reflect.DeepEqual(ra, rb) || len(rb) != n {
+		t.Fatalf("replay differs: %d records via Append, %d via AppendBatch", len(ra), len(rb))
+	}
+	if len(info.segments) < 2 || runs < 10 {
+		t.Fatalf("%d segments, %d runs: rotation inside runs not exercised", len(info.segments), runs)
 	}
 }

@@ -182,6 +182,27 @@ type FaultyStorage interface {
 	StorageFailed() bool
 }
 
+// BatchStorer is implemented by PHL stores that record a run of samples
+// in one call (phl.Store under one lock acquisition; internal/storage's
+// tiered store with one WAL write and one group commit). The server
+// resolves it once at construction; RecordLocations uses it, and any
+// other store gets one Record per sample.
+type BatchStorer interface {
+	// RecordBatch records the samples in order, as Record would one at
+	// a time. The slice stays the caller's, who reuses it once the call
+	// returns.
+	RecordBatch(samples []phl.Sample)
+}
+
+// BatchIndex is BatchStorer's counterpart for the spatio-temporal
+// index (stindex.Grid and the tiered store implement it); any other
+// index gets one Insert per sample.
+type BatchIndex interface {
+	// InsertBatch inserts the samples, as Insert would one at a time.
+	// The slice stays the caller's, as for RecordBatch.
+	InsertBatch(samples []phl.Sample)
+}
+
 // PolicyResolver chooses a per-request policy from the request context —
 // the "more involved rule-based policy specifications" of §3. The
 // internal/policy package provides a rule-language implementation.
@@ -321,7 +342,6 @@ type userState struct {
 	sessions map[int]*generalize.Session // by pattern index
 	plan     *mixzone.Plan               // active on-demand zone, if any
 	atRisk   bool
-	lastSeen geo.STPoint
 }
 
 // Server is the trusted server. It is safe for concurrent use; see the
@@ -341,7 +361,11 @@ type Server struct {
 	// A durable store reports cold-read and WAL failures through it;
 	// requests observing a fault degrade to audited suppression.
 	faulty FaultyStorage
-	pseud  *pseudonym.Manager
+	// batchStore and batchIndex are the store's and index's run
+	// interfaces, when they have them (resolved once at construction).
+	batchStore BatchStorer
+	batchIndex BatchIndex
+	pseud      *pseudonym.Manager
 	// gen is shared by all generalization sessions; its components
 	// (index, store, randomizer) each carry their own synchronization.
 	gen *generalize.Generalizer
@@ -468,6 +492,8 @@ func New(cfg Config, out Outbox) *Server {
 	s.fallible, _ = out.(FallibleOutbox)
 	s.traced, _ = out.(TracedOutbox)
 	s.faulty, _ = store.(FaultyStorage)
+	s.batchStore, _ = store.(BatchStorer)
+	s.batchIndex, _ = s.index.(BatchIndex)
 	s.gen = &generalize.Generalizer{
 		Index:  s.index,
 		Store:  s.store,
@@ -692,13 +718,38 @@ func (s *Server) AddLBQIDSpec(u phl.UserID, def string) error {
 
 // RecordLocation ingests a location update that carries no service
 // request (the PHL holds those too — Def. 6 explicitly includes them).
+// It touches no per-user state.
 func (s *Server) RecordLocation(u phl.UserID, p geo.STPoint) {
 	s.store.Record(u, p)
 	s.index.Insert(u, p)
-	st := s.state(u)
-	st.mu.Lock()
-	st.lastSeen = p
-	st.mu.Unlock()
+}
+
+// RecordLocations ingests a run of location updates, as RecordLocation
+// would one at a time: one store call and one index call for the whole
+// run when the store and index take runs (BatchStorer, BatchIndex), one
+// call per sample otherwise. On a durable store the run is durable per
+// its sync policy when RecordLocations returns. A request issued after
+// it returns sees the whole run, so a caller interleaving location
+// updates with requests (the /v1/batch handler) hands each run over
+// before the request that follows it.
+func (s *Server) RecordLocations(samples []phl.Sample) {
+	if len(samples) == 0 {
+		return
+	}
+	if s.batchStore != nil {
+		s.batchStore.RecordBatch(samples)
+	} else {
+		for _, x := range samples {
+			s.store.Record(x.User, x.Point)
+		}
+	}
+	if s.batchIndex != nil {
+		s.batchIndex.InsertBatch(samples)
+	} else {
+		for _, x := range samples {
+			s.index.Insert(x.User, x.Point)
+		}
+	}
 }
 
 // state returns (creating if needed) the user's bookkeeping. It takes
@@ -810,7 +861,6 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	st := s.state(u)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.lastSeen = p
 	s.Counters.Inc("requests")
 	// Assign the pseudonym up front: an unlinking action during this
 	// request must retire the pseudonym the SP has already seen (or

@@ -2,6 +2,8 @@ package ts
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"histanon/internal/anon"
@@ -12,6 +14,7 @@ import (
 	"histanon/internal/mixzone"
 	"histanon/internal/phl"
 	"histanon/internal/sp"
+	"histanon/internal/stindex"
 	"histanon/internal/tgran"
 	"histanon/internal/wire"
 )
@@ -321,6 +324,52 @@ func TestRecordLocationFeedsStore(t *testing.T) {
 	h := s.Store().History(7)
 	if h == nil || h.Len() != 1 {
 		t.Fatal("location update must land in the PHL store")
+	}
+}
+
+// TestRecordLocationsFallsBackPerSample: a store and index without the
+// batch methods (perfbench's timing decorators, chaos.SlowIndex) get
+// one Record and one Insert per sample and end up holding what a
+// batch-native server holds. Location updates create no per-user
+// state.
+func TestRecordLocationsFallsBackPerSample(t *testing.T) {
+	type recordOnly struct{ phl.Storer }
+	type insertOnly struct{ stindex.Index }
+	plain, _ := newServer(t, Config{Store: recordOnly{phl.NewStore()}, Index: insertOnly{stindex.NewGrid(500, 900)}})
+	native, _ := newServer(t, Config{})
+	if plain.batchStore != nil || plain.batchIndex != nil {
+		t.Fatal("wrapped store and index must not resolve the batch interfaces")
+	}
+	if native.batchStore == nil || native.batchIndex == nil {
+		t.Fatal("phl.Store and the grid must resolve the batch interfaces")
+	}
+	rng := rand.New(rand.NewSource(3))
+	run := make([]phl.Sample, 300)
+	for i := range run {
+		run[i] = phl.Sample{User: phl.UserID(rng.Intn(12)), Point: pt(rng.Float64()*3000, rng.Float64()*3000, int64(i*7))}
+	}
+	for _, s := range []*Server{plain, native} {
+		s.RecordLocations(run[:1])
+		s.RecordLocations(run[1:170])
+		s.RecordLocations(nil)
+		s.RecordLocations(run[170:])
+	}
+	if p, n := plain.Store().Users(), native.Store().Users(); !reflect.DeepEqual(p, n) {
+		t.Fatalf("user order: per-sample %v, batched %v", p, n)
+	}
+	for _, u := range native.Store().Users() {
+		if p, n := plain.Store().History(u).Points(), native.Store().History(u).Points(); !reflect.DeepEqual(p, n) {
+			t.Fatalf("history of %v: per-sample %v, batched %v", u, p, n)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		q := pt(rng.Float64()*3000, rng.Float64()*3000, int64(rng.Intn(2100)))
+		if p, n := plain.index.KNearestUsers(q, 4, geo.STMetric{}, nil), native.index.KNearestUsers(q, 4, geo.STMetric{}, nil); !reflect.DeepEqual(p, n) {
+			t.Fatalf("KNN(%v): per-sample %v, batched %v", q, p, n)
+		}
+	}
+	if len(plain.users) != 0 || len(native.users) != 0 {
+		t.Fatalf("location updates created user state: %d and %d users", len(plain.users), len(native.users))
 	}
 }
 
