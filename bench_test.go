@@ -6,9 +6,11 @@ package histanon
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"histanon/internal/baseline"
 	"histanon/internal/deploy"
@@ -18,8 +20,10 @@ import (
 	"histanon/internal/link"
 	"histanon/internal/mine"
 	"histanon/internal/mobility"
+	"histanon/internal/obs"
 	"histanon/internal/phl"
 	"histanon/internal/sim"
+	"histanon/internal/slo"
 	"histanon/internal/sp"
 	"histanon/internal/stindex"
 	"histanon/internal/tgran"
@@ -417,19 +421,89 @@ func BenchmarkE11_ConcurrentThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEObs_Overhead measures the instrumented request pipeline at
-// each span-sampling setting (EXPERIMENTS.md E-obs; `lbbench -obsbench`
-// emits the machine-readable record).
+// BenchmarkEObs_Overhead measures the one-goroutine E11 request
+// pipeline under each observability setting (EXPERIMENTS.md E-obs):
+// span sampling off, the production tail rule (1/1000 head retention
+// plus a 1 ms slow-request rule), 1% and 100% head sampling, and 100%
+// with metric exemplars or with the audit log writing to io.Discard.
 func BenchmarkEObs_Overhead(b *testing.B) {
 	for _, c := range []struct {
-		name   string
-		sample float64
+		name      string
+		sample    float64
+		tailSlow  time.Duration
+		exemplars bool
+		audit     bool
 	}{
-		{"sampling=off", 0},
-		{"sampling=1pct", 0.01},
-		{"sampling=100pct", 1},
+		{name: "sampling=off"},
+		{name: "sampling=tail-1in1000", sample: 0.001, tailSlow: time.Millisecond},
+		{name: "sampling=1pct", sample: 0.01},
+		{name: "sampling=100pct", sample: 1},
+		{name: "sampling=100pct+exemplars", sample: 1, exemplars: true},
+		{name: "sampling=100pct+audit", sample: 1, audit: true},
 	} {
-		b.Run(c.name, func(b *testing.B) { sim.BenchObsSample(b, c.sample) })
+		b.Run(c.name, func(b *testing.B) {
+			server := sim.NewThroughputServer(sim.ThroughputClients)
+			server.Obs.Tracer.SetSampleRate(c.sample)
+			if c.tailSlow > 0 {
+				server.Obs.Tracer.SetTailSlow(c.tailSlow)
+			}
+			if c.exemplars {
+				server.Obs.SetExemplars(true)
+			}
+			if c.audit {
+				server.Obs.SetAudit(obs.NewAuditLog(io.Discard))
+			}
+			benchPipeline(b, server, false)
+		})
+	}
+}
+
+// BenchmarkESLO_Overhead measures the same pipeline with the privacy
+// SLO engine off, on, and on with a canary capturing from the decision
+// path (EXPERIMENTS.md E-slo). The workload advances logical time one
+// second, one SLO ring bucket, per request, so every observation pays a
+// bucket rotation; the clock=held pair holds each timestamp for 100
+// requests, as production traffic shares a bucket, so rotation
+// amortizes away.
+func BenchmarkESLO_Overhead(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		on     bool
+		canary bool
+		held   bool
+	}{
+		{name: "slo=off"},
+		{name: "slo=on", on: true},
+		{name: "slo=on+canary", on: true, canary: true},
+		{name: "slo=off,clock=held", held: true},
+		{name: "slo=on,clock=held", on: true, held: true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			server := sim.NewThroughputServer(sim.ThroughputClients)
+			server.SLO.SetEnabled(c.on)
+			if c.canary {
+				store, ok := server.Store().(slo.AttackStore)
+				if !ok {
+					b.Fatal("server store does not expose the attack read")
+				}
+				server.SLO.AttachCanary(slo.NewCanary(slo.CanaryOptions{Store: store}))
+			}
+			benchPipeline(b, server, c.held)
+		})
+	}
+}
+
+// benchPipeline issues b.N E11 requests for client user 0 from one
+// goroutine. With held, each timestamp repeats for 100 requests.
+func benchPipeline(b *testing.B, server *ts.Server, held bool) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i
+		if held {
+			j = i / 100 * 100
+		}
+		sim.ThroughputRequest(server, 0, j)
 	}
 }
 

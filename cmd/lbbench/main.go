@@ -6,43 +6,21 @@
 //	lbbench -e E2,E6    # run selected experiments
 //	lbbench -md         # emit GitHub-flavored markdown instead of text
 //	lbbench -list       # list experiment ids and titles
-//	lbbench -bench11 BENCH_e11.json
-//	                    # run the concurrent-throughput benchmark and
-//	                    # write the machine-readable perf record
-//	lbbench -obsbench BENCH_obs.json
-//	                    # run the E-obs instrumentation-overhead benchmark
-//	                    # (sampling off / tail 1/1000 / 100% / 100%+exemplars
-//	                    # / 100%+audit) and write its record; the table goes
-//	                    # to stdout
-//	lbbench -wirebench BENCH_wire.json
-//	                    # run the E-wire binary-protocol benchmark (text vs
-//	                    # binary codec round-trips, JSON vs batched binary
-//	                    # ingest) and write its record
 //	lbbench -compbench BENCH_comp.json
 //	                    # run the §E-comp suite: million-agent streaming
 //	                    # workloads over every scenario shape, plus the
 //	                    # four-approach privacy-vs-QoS comparison; writes
 //	                    # the record and prints both tables
-//	lbbench -storagebench BENCH_storage.json
-//	                    # run the E-storage durability benchmark on a temp
-//	                    # dir: WAL ingestion overhead vs the in-memory
-//	                    # store per fsync policy, crash-recovery time for
-//	                    # the 10⁶-update workload, post-recovery heap, and
-//	                    # cold-read tail latency (-storage-n scales it)
-//	lbbench -slobench BENCH_slo.json
-//	                    # run the E-slo privacy-SLO-engine overhead
-//	                    # benchmark (engine off / on / on+canary over the
-//	                    # E11 hot path) and write its record
-//	lbbench -benchdiff  # aggregate every checked-in BENCH_*.json into one
-//	                    # performance-trajectory table (scripts/benchdiff.sh)
+//
+// Timings live elsewhere: microbenchmarks are `go test -bench` targets
+// (bench_test.go and the packages' own), and end-to-end and per-layer
+// figures come from the perfbench module (perfbench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -51,132 +29,16 @@ import (
 
 func main() {
 	var (
-		ids          = flag.String("e", "", "comma-separated experiment ids (default: all)")
-		markdown     = flag.Bool("md", false, "render markdown tables")
-		list         = flag.Bool("list", false, "list experiments and exit")
-		bench11      = flag.String("bench11", "", "run the E11 concurrency benchmark and write its JSON record to this path")
-		obsbench     = flag.String("obsbench", "", "run the E-obs instrumentation-overhead benchmark and write its JSON record to this path")
-		wirebench    = flag.String("wirebench", "", "run the E-wire binary-protocol benchmark and write its JSON record to this path")
-		compbench    = flag.String("compbench", "", "run the E-comp streaming + approach-comparison benchmark and write its JSON record to this path")
-		storagebench = flag.String("storagebench", "", "run the E-storage durability benchmark and write its JSON record to this path")
-		slobench     = flag.String("slobench", "", "run the E-slo privacy-SLO-engine overhead benchmark and write its JSON record to this path")
-		storageN     = flag.Int("storage-n", 1_000_000, "E-storage workload size in location updates")
-		benchdiff    = flag.Bool("benchdiff", false, "aggregate BENCH_*.json records into a performance-trajectory table")
+		ids       = flag.String("e", "", "comma-separated experiment ids (default: all)")
+		markdown  = flag.Bool("md", false, "render markdown tables")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		compbench = flag.String("compbench", "", "run the E-comp streaming + approach-comparison benchmark and write its JSON record to this path")
 	)
 	flag.Parse()
-
-	if *benchdiff {
-		paths, err := filepath.Glob("BENCH_*.json")
-		if err == nil {
-			sort.Strings(paths)
-			err = sim.WriteBenchDiff(paths, os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range sim.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	if *bench11 != "" {
-		f, err := os.Create(*bench11)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep := sim.RunE11Bench()
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, tp := range rep.Throughput {
-			fmt.Printf("goroutines=%d  %.0f req/s  (%.2fx, %d allocs/op)\n",
-				tp.Goroutines, tp.OpsPerSec, tp.Speedup, tp.AllocsPerOp)
-		}
-		for _, hp := range rep.HotPaths {
-			fmt.Printf("%-32s %8.0f ns/op %6d B/op %4d allocs/op\n",
-				hp.Name, hp.NsPerOp, hp.BytesPerOp, hp.AllocsPerOp)
-		}
-		return
-	}
-
-	if *obsbench != "" {
-		f, err := os.Create(*obsbench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep := sim.RunObsBench()
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, row := range rep.Rows {
-			fmt.Printf("%-24s %8.0f req/s  %8.0f ns/op  %3d allocs/op  (%.3fx vs off)\n",
-				row.Mode, row.OpsPerSec, row.NsPerOp, row.AllocsPerOp, row.VsOff)
-		}
-		return
-	}
-
-	if *wirebench != "" {
-		f, err := os.Create(*wirebench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep := sim.RunWireBench()
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, row := range rep.Rows {
-			fmt.Printf("%-28s %12.0f ops/s  %8.1f ns/op  %3d allocs/op  (%.2fx vs text)\n",
-				row.Mode, row.OpsPerSec, row.NsPerOp, row.AllocsPerOp, row.VsText)
-		}
-		return
-	}
-
-	if *slobench != "" {
-		f, err := os.Create(*slobench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep := sim.RunSLOBench()
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, row := range rep.SLORows {
-			fmt.Printf("%-24s %8.0f req/s  %8.0f ns/op  %3d allocs/op  (%.3fx vs off)\n",
-				row.Mode, row.OpsPerSec, row.NsPerOp, row.AllocsPerOp, row.VsOff)
 		}
 		return
 	}
@@ -202,48 +64,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *storagebench != "" {
-		dir, err := os.MkdirTemp("", "storagebench")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		rep, err := sim.RunStorageBench(dir, *storageN)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*storagebench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, row := range rep.StorageRows {
-			switch {
-			case row.RecoveryMs > 0:
-				fmt.Printf("%-12s %9d records  %8.0f ms recovery  %6d replayed  %6.1f MB heap\n",
-					row.Mode, row.Records, row.RecoveryMs, row.Replayed, row.HeapMB)
-			case row.ColdP99Us > 0:
-				fmt.Printf("%-12s %9d queries  %8.0f ns/op  p99 %.0f\u00b5s\n",
-					row.Mode, row.Records, row.NsPerOp, row.ColdP99Us)
-			default:
-				fmt.Printf("%-12s %9d records  %8.0f ops/s  %8.0f ns/op  (%.3fx vs memory, %d fsyncs)\n",
-					row.Mode, row.Records, row.OpsPerSec, row.NsPerOp, row.VsMemory, row.Fsyncs)
-			}
 		}
 		return
 	}

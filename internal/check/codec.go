@@ -2,12 +2,17 @@ package check
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"time"
 
 	"histanon/internal/geo"
+	"histanon/internal/httpapi"
 	"histanon/internal/obs"
 	"histanon/internal/phl"
 	"histanon/internal/tgran"
@@ -17,18 +22,22 @@ import (
 
 // Codec differential oracle: one seeded workload of location updates and
 // service calls is run twice against two identically configured trusted
-// servers. The text leg dispatches ops directly and round-trips every
-// TS→SP request and SP→TS response through the text codec
-// (wire.EncodeRequest / wire.ParseRequest); the binary leg pushes the
-// same ops through binary frames, batch framing and the pooled binary
-// parser, and round-trips the TS↔SP traffic through the binary codec.
-// The two legs must be observationally identical: byte-identical
-// decisions, forwarded requests, responses, audit logs (including
-// trace_ids) and achieved-k histograms. Any difference is a codec bug —
-// the binary wire format silently altering what the privacy pipeline
-// sees or says.
+// servers, each behind the real HTTP handler (httpapi.New) and driven
+// in process through ServeHTTP, without sockets. The JSON leg sends
+// every location as POST /v1/location and every call as POST
+// /v1/request carrying the op's traceparent header, and hands the
+// TS↔SP traffic over in memory. The binary leg flushes wire.Batchers
+// into POST /v1/batch with a binary Accept header, decodes decisions
+// from the response's decision frames, and round-trips every TS→SP
+// request and SP→TS response through the binary codec, the pooled
+// zero-copy parser included. The two legs must be observationally
+// identical: equal decisions, forwarded requests, responses, audit logs
+// (including trace_ids) and achieved-k histograms. Any difference is a
+// bug in the binary channel — its framing, its batched ingest in
+// handleBatch, or its codec — silently altering what the privacy
+// pipeline sees or says.
 //
-// Determinism notes (why byte-identical comparison is sound):
+// Determinism notes (why exact comparison is sound):
 //   - pseudonym.Manager mints sequence-numbered pseudonyms, so equal
 //     rotation histories yield equal pseudonyms;
 //   - every service call carries a seeded parent trace context, and the
@@ -197,27 +206,34 @@ func mintCodecParent(rng *rand.Rand) obs.TraceContext {
 type codecRun struct {
 	leg       string
 	decisions []string // one fingerprint per call, in schedule order
-	requests  []string // canonical text encoding of each forwarded request
-	responses []string // canonical text encoding of each inbox delivery
+	requests  []string // renderRequest of each forwarded request
+	responses []string // renderResponse of each inbox delivery
 	audit     string   // raw audit JSONL bytes
 	traceIDs  []string // trace_id per audit event, in log order
 	achievedK []int64  // obs.Observer.AchievedK bucket counts
 	counters  string   // ts.Server.Counters in canonical render
-	divs      []Divergence
+
+	// mu guards divs: concurrent ingest fails from one goroutine per
+	// user stream.
+	mu   sync.Mutex
+	divs []Divergence
 }
 
 func (r *codecRun) fail(kind string, q int, format string, args ...any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.divs = append(r.divs, Divergence{Index: r.leg, Kind: kind, Query: q,
 		Detail: fmt.Sprintf(format, args...)})
 }
 
 // newCodecServer builds one leg's trusted server with the shared
-// deterministic configuration and an audit sink into buf. The outbox
-// round-trips every forwarded request and its deterministic SP response
-// through roundReq/roundResp — the leg's codec under test.
+// deterministic configuration and an audit sink into buf, and returns
+// it behind the HTTP handler the leg drives. The outbox hands every
+// forwarded request and its deterministic SP response through
+// roundReq/roundResp — the leg's TS↔SP channel.
 func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer,
 	roundReq func(*wire.Request) (*wire.Request, error),
-	roundResp func(*wire.Response) (*wire.Response, error)) *ts.Server {
+	roundResp func(*wire.Response) (*wire.Response, error)) (*ts.Server, http.Handler) {
 
 	var srv *ts.Server
 	out := ts.OutboxFunc(func(req *wire.Request) {
@@ -226,12 +242,7 @@ func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer,
 			run.fail("request-codec", len(run.requests), "round-trip: %v", err)
 			return
 		}
-		text, err := wire.EncodeRequest(rt)
-		if err != nil {
-			run.fail("request-codec", len(run.requests), "canonical render: %v", err)
-			return
-		}
-		run.requests = append(run.requests, text)
+		run.requests = append(run.requests, renderRequest(rt))
 		resp := &wire.Response{ID: rt.ID, Service: rt.Service, Payload: map[string]string{
 			"status": "ok",
 			"echo":   fmt.Sprintf("%s#%d", rt.Service, rt.ID),
@@ -259,15 +270,10 @@ func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer,
 			}
 		}
 		srv.SetInbox(id, ts.InboxFunc(func(resp *wire.Response) {
-			text, err := wire.EncodeResponse(resp)
-			if err != nil {
-				run.fail("response-codec", len(run.responses), "canonical render: %v", err)
-				return
-			}
-			run.responses = append(run.responses, text)
+			run.responses = append(run.responses, renderResponse(resp))
 		}))
 	}
-	return srv
+	return srv, httpapi.New(srv)
 }
 
 // finish captures the post-run observable state.
@@ -287,53 +293,148 @@ func (r *codecRun) finish(srv *ts.Server, buf *bytes.Buffer) {
 	r.counters = srv.Counters.String()
 }
 
-// fingerprint renders everything a decision tells the caller; the
-// forwarded request (pseudonym, msgid, generalized context, data) is
-// folded in via its canonical text encoding.
+// fingerprint renders what a decision tells the caller: the fields
+// httpapi.DecisionResponse and wire.DecisionFrame share, projected from
+// d as the handler projects it onto either encoding.
 func fingerprint(i int, d ts.Decision) string {
-	req := "-"
-	if d.Request != nil {
-		if s, err := wire.EncodeRequest(d.Request); err == nil {
-			req = s
-		} else {
-			req = "unencodable: " + err.Error()
-		}
+	f := wire.DecisionFrame{
+		Forwarded:      d.Forwarded,
+		Generalized:    d.Generalized,
+		HKAnonymity:    d.HKAnonymity,
+		Unlinked:       d.Unlinked,
+		AtRisk:         d.AtRisk,
+		Suppressed:     d.Suppressed,
+		Degraded:       d.Degraded,
+		QIDExposed:     d.QIDExposed,
+		MatchedLBQID:   d.MatchedLBQID,
+		DegradedReason: d.DegradedReason,
+		TraceID:        d.TraceID(),
 	}
-	return fmt.Sprintf("call %d fwd=%t gen=%t hk=%t lbqid=%q unlink=%t risk=%t sup=%t deg=%t(%s) qid=%t trace=%s req=%s",
-		i, d.Forwarded, d.Generalized, d.HKAnonymity, d.MatchedLBQID,
-		d.Unlinked, d.AtRisk, d.Suppressed, d.Degraded, d.DegradedReason,
-		d.QIDExposed, d.TraceID(), req)
+	if d.Request != nil {
+		f.Pseudonym = string(d.Request.Pseudonym)
+		f.HasContext = true
+		f.Context = d.Request.Context
+	}
+	return fingerprintFrame(i, f)
 }
 
-// runTextLeg executes the schedule with direct dispatch and text-codec
-// round-trips of the TS↔SP traffic. When concurrent is true the
-// location prefix is ingested by one goroutine per user.
-func runTextLeg(w *CodecWorkload, concurrent bool) *codecRun {
-	run := &codecRun{leg: "text"}
+// fingerprintJSON is fingerprint for a decision the JSON API returned.
+func fingerprintJSON(i int, d httpapi.DecisionResponse) string {
+	f := wire.DecisionFrame{
+		Forwarded:      d.Forwarded,
+		Generalized:    d.Generalized,
+		HKAnonymity:    d.HKAnonymity,
+		Unlinked:       d.Unlinked,
+		AtRisk:         d.AtRisk,
+		Suppressed:     d.Suppressed,
+		Degraded:       d.Degraded,
+		QIDExposed:     d.QIDExposed,
+		MatchedLBQID:   d.MatchedLBQID,
+		DegradedReason: d.DegradedReason,
+		TraceID:        d.TraceID,
+		Pseudonym:      d.Pseudonym,
+	}
+	if c := d.Context; c != nil {
+		f.HasContext = true
+		f.Context = geo.STBox{
+			Area: geo.Rect{MinX: c.MinX, MinY: c.MinY, MaxX: c.MaxX, MaxY: c.MaxY},
+			Time: geo.Interval{Start: c.Start, End: c.End},
+		}
+	}
+	return fingerprintFrame(i, f)
+}
+
+// fingerprintFrame is fingerprint for a decision frame /v1/batch
+// returned; the other two fingerprints render through it.
+func fingerprintFrame(i int, f wire.DecisionFrame) string {
+	ctx := "-"
+	if f.HasContext {
+		ctx = renderBox(f.Context)
+	}
+	return fmt.Sprintf("call %d fwd=%t gen=%t hk=%t lbqid=%q unlink=%t risk=%t sup=%t deg=%t(%s) qid=%t trace=%s pseudo=%q ctx=%s",
+		i, f.Forwarded, f.Generalized, f.HKAnonymity, f.MatchedLBQID,
+		f.Unlinked, f.AtRisk, f.Suppressed, f.Degraded, f.DegradedReason,
+		f.QIDExposed, f.TraceID, f.Pseudonym, ctx)
+}
+
+// renderRequest renders a forwarded request exactly: every float in
+// its shortest round-tripping form, data keys sorted (fmt sorts map
+// keys), so two renders are equal exactly when the requests are.
+func renderRequest(r *wire.Request) string {
+	return fmt.Sprintf("req id=%d pseudo=%q svc=%q ctx=%s data=%q",
+		r.ID, r.Pseudonym, r.Service, renderBox(r.Context), r.Data)
+}
+
+// renderResponse renders an SP response exactly, like renderRequest.
+func renderResponse(r *wire.Response) string {
+	return fmt.Sprintf("resp id=%d svc=%q payload=%q", r.ID, r.Service, r.Payload)
+}
+
+// renderBox renders a context box exactly; −0 keeps its sign.
+func renderBox(b geo.STBox) string {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	a := b.Area
+	return fmt.Sprintf("[%s,%s]x[%s,%s]@[%d,%d]",
+		f(a.MinX), f(a.MaxX), f(a.MinY), f(a.MaxY), b.Time.Start, b.Time.End)
+}
+
+// serve drives one in-process request through h and returns the
+// response, failing the run on any status other than 200.
+func (r *codecRun) serve(h http.Handler, q int, req *http.Request) (*httptest.ResponseRecorder, bool) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		r.fail("http", q, "%s %s: %d %s", req.Method, req.URL.Path, rec.Code, rec.Body.String())
+		return rec, false
+	}
+	return rec, true
+}
+
+// postJSON builds an in-process JSON POST of v.
+func postJSON(path string, v any) *http.Request {
+	body, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	return req
+}
+
+// runJSONLeg executes the schedule through the JSON API, one location
+// or call per request, and hands the TS↔SP traffic over in memory. When
+// concurrent is true the location prefix is posted by one goroutine per
+// user.
+func runJSONLeg(w *CodecWorkload, concurrent bool) *codecRun {
+	run := &codecRun{leg: "json"}
 	var buf bytes.Buffer
-	srv := newCodecServer(w, run, &buf,
-		func(r *wire.Request) (*wire.Request, error) {
-			s, err := wire.EncodeRequest(r)
-			if err != nil {
-				return nil, err
-			}
-			return wire.ParseRequest(s)
-		},
-		func(r *wire.Response) (*wire.Response, error) {
-			s, err := wire.EncodeResponse(r)
-			if err != nil {
-				return nil, err
-			}
-			return wire.ParseResponse(s)
-		})
+	srv, h := newCodecServer(w, run, &buf,
+		func(r *wire.Request) (*wire.Request, error) { return r, nil },
+		func(r *wire.Response) (*wire.Response, error) { return r, nil })
 
 	ingest := func(op CodecOp) {
 		if !op.Call {
-			srv.RecordLocation(op.User, op.P)
+			run.serve(h, -1, postJSON("/v1/location", httpapi.LocationRequest{
+				User: int64(op.User), X: op.P.P.X, Y: op.P.P.Y, T: op.P.T,
+			}))
 			return
 		}
-		d := srv.RequestTraced(op.User, op.P, op.Service, op.Data, op.Parent)
-		run.decisions = append(run.decisions, fingerprint(len(run.decisions), d))
+		q := len(run.decisions)
+		req := postJSON("/v1/request", httpapi.ServiceRequest{
+			User: int64(op.User), X: op.P.P.X, Y: op.P.P.Y, T: op.P.T,
+			Service: op.Service, Data: op.Data,
+		})
+		req.Header.Set("traceparent", op.Parent.Traceparent())
+		rec, ok := run.serve(h, q, req)
+		if !ok {
+			return
+		}
+		var d httpapi.DecisionResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
+			run.fail("decode", q, "decision: %v", err)
+			return
+		}
+		run.decisions = append(run.decisions, fingerprintJSON(q, d))
 	}
 	forEachUserStream(w.Locs, w.Cfg.Users, concurrent, ingest)
 	for _, op := range w.Ops {
@@ -343,15 +444,13 @@ func runTextLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	return run
 }
 
-// runBinaryLeg executes the same schedule through the binary wire
-// format: ops become frames, frames flow through a wire.Batcher into
-// batch decoding (the same dispatch shape as POST /v1/batch), and the
-// TS↔SP traffic round-trips through the binary request/response codec
-// — including the pooled zero-copy parser.
+// runBinaryLeg executes the same schedule through POST /v1/batch and
+// round-trips the TS↔SP traffic through the binary request/response
+// codec, including the pooled zero-copy parser.
 func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	run := &codecRun{leg: "binary"}
 	var buf bytes.Buffer
-	srv := newCodecServer(w, run, &buf,
+	srv, h := newCodecServer(w, run, &buf,
 		func(r *wire.Request) (*wire.Request, error) {
 			frame, err := wire.EncodeBinaryRequest(r)
 			if err != nil {
@@ -368,9 +467,7 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 			if err := pooled.ParseFrame(frame); err != nil {
 				return nil, fmt.Errorf("pooled parse disagrees: %v", err)
 			}
-			a, _ := wire.EncodeRequest(plain)
-			b, _ := wire.EncodeRequest(&pooled.Request)
-			if a != b {
+			if a, b := renderRequest(plain), renderRequest(&pooled.Request); a != b {
 				return nil, fmt.Errorf("pooled parse drift: %q vs %q", b, a)
 			}
 			return plain, nil
@@ -383,46 +480,31 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 			return wire.ParseBinaryResponse(frame)
 		})
 
-	// dispatch mirrors httpapi.handleBatch's decode loop: each run of
-	// consecutive location frames goes to RecordLocations in one call,
-	// handed over before the next service call, before an error return
-	// and at the end of the batch. The text leg records one location per
-	// call, so the legs' agreement covers the batched path.
-	dispatch := func(batch []byte, n int) error {
-		dec, err := wire.NewBatchDecoder(batch)
+	// post sends one batch to /v1/batch and appends a fingerprint per
+	// decision frame of the response. A batch of locations only gets no
+	// decision frames, so concurrent location flushes never append.
+	post := func(batch []byte, _ int) error {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(batch))
+		req.Header.Set("Content-Type", httpapi.WireContentType)
+		req.Header.Set("Accept", httpapi.WireContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("POST /v1/batch: %d %s", rec.Code, rec.Body.String())
+		}
+		dec, err := wire.NewBatchDecoder(rec.Body.Bytes())
 		if err != nil {
 			return err
 		}
-		var locs []phl.Sample
-		defer func() { srv.RecordLocations(locs) }()
 		for dec.Next() {
-			switch dec.Type() {
-			case wire.FrameLocation:
-				l, err := wire.ParseLocationPayload(dec.Flags(), dec.Payload())
-				if err != nil {
-					return err
-				}
-				locs = append(locs, phl.Sample{User: phl.UserID(l.User), Point: l.Point()})
-			case wire.FrameServiceCall:
-				srv.RecordLocations(locs)
-				locs = locs[:0]
-				c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
-				if err != nil {
-					return err
-				}
-				var parent obs.TraceContext
-				if c.Traceparent != "" {
-					if tc, perr := obs.ParseTraceparent(c.Traceparent); perr == nil {
-						parent = tc
-					}
-				}
-				d := srv.RequestTraced(phl.UserID(c.User), geo.STPoint{
-					P: geo.Point{X: c.X, Y: c.Y}, T: c.T,
-				}, c.Service, c.Data, parent)
-				run.decisions = append(run.decisions, fingerprint(len(run.decisions), d))
-			default:
-				return fmt.Errorf("unexpected %s frame", dec.Type())
+			if dec.Type() != wire.FrameDecision {
+				return fmt.Errorf("unexpected %s frame in the response", dec.Type())
 			}
+			f, err := wire.ParseDecisionPayload(dec.Flags(), dec.Payload())
+			if err != nil {
+				return err
+			}
+			run.decisions = append(run.decisions, fingerprintFrame(len(run.decisions), f))
 		}
 		return dec.Err()
 	}
@@ -447,7 +529,7 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 		// An hour-long deadline keeps the timer out of the deterministic
 		// schedule: flushes happen on size or Close only.
 		b, err := wire.NewBatcher(wire.BatcherConfig{
-			MaxBytes: 512, MaxDelay: time.Hour, Flush: dispatch,
+			MaxBytes: 512, MaxDelay: time.Hour, Flush: post,
 		})
 		if err != nil {
 			run.fail("batcher", -1, "construct: %v", err)
@@ -486,23 +568,35 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 		ingestStream(w.Locs)
 	}
 
-	// Phase 2: calls and their interleaved movement go one batch per op
-	// so each decision lands in schedule order, as on /v1/batch.
-	for _, op := range w.Ops {
-		frame, err := encodeOp(nil, op)
+	// Phase 2: each call goes in one batch with the movement scheduled
+	// before it, so the handler must record that run before deciding the
+	// call; trailing movement goes in a last batch.
+	var frames []byte
+	count := 0
+	flush := func() {
+		if count == 0 {
+			return
+		}
+		batch, err := wire.AppendBatch(nil, count, frames)
 		if err != nil {
+			run.fail("encode", len(run.decisions), "batch frame: %v", err)
+		} else if err := post(batch, count); err != nil {
+			run.fail("decode", len(run.decisions), "post: %v", err)
+		}
+		frames, count = frames[:0], 0
+	}
+	for _, op := range w.Ops {
+		var err error
+		if frames, err = encodeOp(frames, op); err != nil {
 			run.fail("encode", len(run.decisions), "op frame: %v", err)
 			continue
 		}
-		batch, err := wire.AppendBatch(nil, 1, frame)
-		if err != nil {
-			run.fail("encode", len(run.decisions), "batch frame: %v", err)
-			continue
-		}
-		if err := dispatch(batch, 1); err != nil {
-			run.fail("decode", len(run.decisions), "dispatch: %v", err)
+		count++
+		if op.Call {
+			flush()
 		}
 	}
+	flush()
 	run.finish(srv, &buf)
 	return run
 }
@@ -546,32 +640,32 @@ func partitionByUser(ops []CodecOp, users int) [][]CodecOp {
 }
 
 // diffCodecRuns compares the binary leg's observable behavior against
-// the text leg's, byte for byte.
-func diffCodecRuns(text, bin *codecRun) []Divergence {
-	divs := append(append([]Divergence{}, text.divs...), bin.divs...)
-	divs = append(divs, diffStrings("decision", text.decisions, bin.decisions)...)
-	divs = append(divs, diffStrings("request", text.requests, bin.requests)...)
-	divs = append(divs, diffStrings("response", text.responses, bin.responses)...)
-	divs = append(divs, diffStrings("audit-trace-id", text.traceIDs, bin.traceIDs)...)
-	if text.audit != bin.audit {
+// the JSON leg's, exactly.
+func diffCodecRuns(js, bin *codecRun) []Divergence {
+	divs := append(append([]Divergence{}, js.divs...), bin.divs...)
+	divs = append(divs, diffStrings("decision", js.decisions, bin.decisions)...)
+	divs = append(divs, diffStrings("request", js.requests, bin.requests)...)
+	divs = append(divs, diffStrings("response", js.responses, bin.responses)...)
+	divs = append(divs, diffStrings("audit-trace-id", js.traceIDs, bin.traceIDs)...)
+	if js.audit != bin.audit {
 		divs = append(divs, Divergence{Index: "binary", Kind: "audit", Query: -1,
 			Detail: fmt.Sprintf("audit logs differ (%d vs %d bytes): %s",
-				len(text.audit), len(bin.audit), firstDiffLine(text.audit, bin.audit))})
+				len(js.audit), len(bin.audit), firstDiffLine(js.audit, bin.audit))})
 	}
-	if len(text.achievedK) != len(bin.achievedK) {
+	if len(js.achievedK) != len(bin.achievedK) {
 		divs = append(divs, Divergence{Index: "binary", Kind: "achieved-k", Query: -1,
-			Detail: fmt.Sprintf("bucket count %d vs %d", len(bin.achievedK), len(text.achievedK))})
+			Detail: fmt.Sprintf("bucket count %d vs %d", len(bin.achievedK), len(js.achievedK))})
 	} else {
-		for i := range text.achievedK {
-			if text.achievedK[i] != bin.achievedK[i] {
+		for i := range js.achievedK {
+			if js.achievedK[i] != bin.achievedK[i] {
 				divs = append(divs, Divergence{Index: "binary", Kind: "achieved-k", Query: i,
-					Detail: fmt.Sprintf("bucket %d: %d vs text %d", i, bin.achievedK[i], text.achievedK[i])})
+					Detail: fmt.Sprintf("bucket %d: %d vs json %d", i, bin.achievedK[i], js.achievedK[i])})
 			}
 		}
 	}
-	if text.counters != bin.counters {
+	if js.counters != bin.counters {
 		divs = append(divs, Divergence{Index: "binary", Kind: "counters", Query: -1,
-			Detail: fmt.Sprintf("binary %q vs text %q", bin.counters, text.counters)})
+			Detail: fmt.Sprintf("binary %q vs json %q", bin.counters, js.counters)})
 	}
 	return divs
 }
@@ -581,12 +675,12 @@ func diffStrings(kind string, want, got []string) []Divergence {
 	var divs []Divergence
 	if len(want) != len(got) {
 		divs = append(divs, Divergence{Index: "binary", Kind: kind, Query: -1,
-			Detail: fmt.Sprintf("%d observations vs text %d", len(got), len(want))})
+			Detail: fmt.Sprintf("%d observations vs json %d", len(got), len(want))})
 	}
 	for i := 0; i < len(want) && i < len(got); i++ {
 		if want[i] != got[i] {
 			divs = append(divs, Divergence{Index: "binary", Kind: kind, Query: i,
-				Detail: fmt.Sprintf("binary %q vs text %q", got[i], want[i])})
+				Detail: fmt.Sprintf("binary %q vs json %q", got[i], want[i])})
 		}
 	}
 	return divs
@@ -604,7 +698,7 @@ func firstDiffLine(a, b string) string {
 			bv = bl[i]
 		}
 		if av != bv {
-			return fmt.Sprintf("line %d: text %s binary %s", i, av, bv)
+			return fmt.Sprintf("line %d: json %s binary %s", i, av, bv)
 		}
 	}
 	return "identical lines, length mismatch"
@@ -624,11 +718,11 @@ func splitLines(s string) []string {
 	return out
 }
 
-// RunCodecDifferential runs one workload through both codecs
+// RunCodecDifferential runs one workload through both served encodings
 // sequentially and returns every observable divergence. Empty slice
-// means the binary wire format is indistinguishable from the text one.
+// means the binary channel is indistinguishable from the JSON API.
 func RunCodecDifferential(w *CodecWorkload) []Divergence {
-	return diffCodecRuns(runTextLeg(w, false), runBinaryLeg(w, false))
+	return diffCodecRuns(runJSONLeg(w, false), runBinaryLeg(w, false))
 }
 
 // RunCodecConcurrent replays the workload with the crowd-formation
@@ -636,8 +730,8 @@ func RunCodecDifferential(w *CodecWorkload) []Divergence {
 // wire.Batchers on the binary leg — then the call phase sequentially.
 // Per-user order is preserved, and tie-free trajectories make the final
 // state independent of cross-user interleaving, so the two legs must
-// still agree byte for byte. Run under -race: the batcher/decoder
+// still agree exactly. Run under -race: the batcher/handler
 // interleaving is part of what is being tested.
 func RunCodecConcurrent(w *CodecWorkload) []Divergence {
-	return diffCodecRuns(runTextLeg(w, true), runBinaryLeg(w, true))
+	return diffCodecRuns(runJSONLeg(w, true), runBinaryLeg(w, true))
 }

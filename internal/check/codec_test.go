@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestCodecDifferential sweeps 200 seeded workloads through both codec
-// legs. Every leg pair must agree byte for byte on decisions, forwarded
-// requests, responses, audit logs (trace_ids included), achieved-k
-// buckets and counters — no seed may be skipped.
+// TestCodecDifferential sweeps 200 seeded workloads through both legs,
+// the JSON API and the binary batch channel. Every leg pair must agree
+// exactly on decisions, forwarded requests, responses, audit logs
+// (trace_ids included), achieved-k buckets and counters — no seed may
+// be skipped.
 func TestCodecDifferential(t *testing.T) {
 	const workloads = 200
 	forwarded, responses := 0, 0
@@ -20,18 +21,18 @@ func TestCodecDifferential(t *testing.T) {
 			Calls:     20 + int(seed%3)*10,
 			TimeScale: 0.25 * float64(1+seed%4),
 		})
-		text := runTextLeg(w, false)
+		js := runJSONLeg(w, false)
 		bin := runBinaryLeg(w, false)
-		if divs := diffCodecRuns(text, bin); len(divs) > 0 {
+		if divs := diffCodecRuns(js, bin); len(divs) > 0 {
 			for _, d := range divs[:min(len(divs), 10)] {
 				t.Errorf("seed %d: %s/%s query %d: %s", seed, d.Index, d.Kind, d.Query, d.Detail)
 			}
 			t.Fatalf("seed %d: %d codec divergences", seed, len(divs))
 		}
-		forwarded += len(text.requests)
-		responses += len(text.responses)
-		if calls := len(filterCalls(w.Ops)); len(text.decisions) != calls {
-			t.Fatalf("seed %d: %d decisions for %d calls", seed, len(text.decisions), calls)
+		forwarded += len(js.requests)
+		responses += len(js.responses)
+		if calls := len(filterCalls(w.Ops)); len(js.decisions) != calls {
+			t.Fatalf("seed %d: %d decisions for %d calls", seed, len(js.decisions), calls)
 		}
 	}
 	// Teeth check: a sweep where nothing is ever forwarded (or answered)
@@ -53,9 +54,9 @@ func filterCalls(ops []CodecOp) []CodecOp {
 }
 
 // TestCodecConcurrent replays workloads with concurrent crowd ingest:
-// the text leg dispatches per-user goroutines directly while the binary
-// leg pushes each user's stream through its own wire.Batcher into batch
-// decoding. Run under -race, the batcher interleaving is the test.
+// the JSON leg posts each user's locations from its own goroutine while
+// the binary leg pushes each user's stream through its own wire.Batcher
+// into POST /v1/batch. Run under -race, the interleaving is the test.
 func TestCodecConcurrent(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
@@ -68,7 +69,7 @@ func TestCodecConcurrent(t *testing.T) {
 			Locations: 240,
 			Calls:     24,
 		})
-		if divs := diffCodecRuns(runTextLeg(w, true), runBinaryLeg(w, true)); len(divs) > 0 {
+		if divs := diffCodecRuns(runJSONLeg(w, true), runBinaryLeg(w, true)); len(divs) > 0 {
 			for _, d := range divs[:min(len(divs), 10)] {
 				t.Errorf("seed %d: %s/%s query %d: %s", seed, d.Index, d.Kind, d.Query, d.Detail)
 			}
@@ -81,11 +82,11 @@ func TestCodecConcurrent(t *testing.T) {
 // every observable channel, when perturbed, must be flagged.
 func TestCodecOracleDetectsDivergence(t *testing.T) {
 	w := NewCodecWorkload(CodecWorkloadConfig{Seed: 7})
-	text := runTextLeg(w, false)
-	if len(text.decisions) == 0 || len(text.requests) == 0 ||
-		len(text.traceIDs) == 0 || len(text.responses) == 0 {
+	js := runJSONLeg(w, false)
+	if len(js.decisions) == 0 || len(js.requests) == 0 ||
+		len(js.traceIDs) == 0 || len(js.responses) == 0 {
 		t.Fatalf("baseline run is empty: %d decisions %d requests %d trace ids %d responses",
-			len(text.decisions), len(text.requests), len(text.traceIDs), len(text.responses))
+			len(js.decisions), len(js.requests), len(js.traceIDs), len(js.responses))
 	}
 
 	sabotage := []struct {
@@ -101,14 +102,18 @@ func TestCodecOracleDetectsDivergence(t *testing.T) {
 		{"counters", func(r *codecRun) { r.counters += " bogus=1" }},
 	}
 	for _, s := range sabotage {
-		bad := *text
-		bad.decisions = append([]string(nil), text.decisions...)
-		bad.requests = append([]string(nil), text.requests...)
-		bad.responses = append([]string(nil), text.responses...)
-		bad.traceIDs = append([]string(nil), text.traceIDs...)
-		bad.achievedK = append([]int64(nil), text.achievedK...)
-		s.mut(&bad)
-		divs := diffCodecRuns(text, &bad)
+		bad := &codecRun{
+			leg:       js.leg,
+			decisions: append([]string(nil), js.decisions...),
+			requests:  append([]string(nil), js.requests...),
+			responses: append([]string(nil), js.responses...),
+			audit:     js.audit,
+			traceIDs:  append([]string(nil), js.traceIDs...),
+			achievedK: append([]int64(nil), js.achievedK...),
+			counters:  js.counters,
+		}
+		s.mut(bad)
+		divs := diffCodecRuns(js, bad)
 		found := false
 		for _, d := range divs {
 			if d.Kind == s.kind {
@@ -121,8 +126,8 @@ func TestCodecOracleDetectsDivergence(t *testing.T) {
 	}
 
 	// And an honest self-comparison is clean.
-	if divs := diffCodecRuns(text, runTextLeg(w, false)); len(divs) != 0 {
-		t.Fatalf("text leg does not agree with itself: %v", divs)
+	if divs := diffCodecRuns(js, runJSONLeg(w, false)); len(divs) != 0 {
+		t.Fatalf("json leg does not agree with itself: %v", divs)
 	}
 }
 

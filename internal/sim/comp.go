@@ -89,8 +89,8 @@ type CompRow struct {
 	LinkP95 float64 `json:"link_p95"`
 }
 
-// CompBenchReport is the machine-readable E-comp record. The JSON keys
-// "stream_rows"/"comp_rows" let benchdiff tell the shape apart.
+// CompBenchReport is the machine-readable E-comp record
+// (BENCH_comp.json).
 type CompBenchReport struct {
 	GOMAXPROCS   int         `json:"gomaxprocs"`
 	K            int         `json:"k"`

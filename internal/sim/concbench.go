@@ -1,26 +1,19 @@
-// Concurrent-throughput benchmark (E11 bench family): a whole-server
-// request pipeline measurement at several client-goroutine counts, plus
-// allocation profiles of the two hot query primitives (the E1/E2
-// benchmark subjects). cmd/lbbench emits the result as BENCH_e11.json
-// so successive PRs can track the performance trajectory; bench_test.go
-// exposes the same workload as BenchmarkE11_ConcurrentThroughput.
+// Throughput workload (E11 bench family): a trusted server preloaded
+// with a small crowd and one commute LBQID per client user, and the
+// request that drives it down the full monitor → generalize → forward
+// pipeline. bench_test.go's E11, E-obs and E-slo benchmarks run it, as
+// do the tail-tracing allocation guard and internal/slo's differential
+// tests.
 
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
-	"sync"
-	"testing"
-	"time"
 
 	"histanon/internal/generalize"
 	"histanon/internal/geo"
 	"histanon/internal/phl"
-	"histanon/internal/stindex"
 	"histanon/internal/tgran"
 	"histanon/internal/ts"
 	"histanon/internal/wire"
@@ -71,178 +64,4 @@ lbqid "commute%d" {
 func ThroughputRequest(s *ts.Server, u phl.UserID, i int) {
 	t := int64(i/3600)*tgran.Day + 7*tgran.Hour + int64(i%3600)
 	s.Request(u, geo.STPoint{P: geo.Point{X: 200, Y: 200}, T: t}, "navigation", nil)
-}
-
-// RunThroughput drives n requests through a fresh server from the given
-// number of goroutines (each on its own user) and reports the wall
-// time.
-func RunThroughput(goroutines, n int) time.Duration {
-	server := NewThroughputServer(ThroughputClients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			per := n / goroutines
-			if w < n%goroutines {
-				per++
-			}
-			u := phl.UserID(w % ThroughputClients)
-			for i := 0; i < per; i++ {
-				ThroughputRequest(server, u, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return time.Since(start)
-}
-
-// E11Throughput is one goroutine-count measurement of the whole-server
-// request pipeline.
-type E11Throughput struct {
-	Goroutines  int     `json:"goroutines"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Speedup     float64 `json:"speedup_vs_1"`
-}
-
-// E11Alloc is the allocation profile of one hot-path primitive.
-type E11Alloc struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// E11Report is the machine-readable benchmark record emitted as
-// BENCH_e11.json.
-type E11Report struct {
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Throughput []E11Throughput `json:"throughput"`
-	HotPaths   []E11Alloc      `json:"hot_paths"`
-}
-
-// RunE11Bench measures server throughput at 1/4/8 goroutines and the
-// allocation profile of the E1 (index KNN box query) and E2 (Algorithm 1
-// first element) hot paths.
-func RunE11Bench() E11Report {
-	rep := E11Report{GOMAXPROCS: runtime.GOMAXPROCS(0)}
-
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		r := testing.Benchmark(func(b *testing.B) {
-			server := NewThroughputServer(ThroughputClients)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					per := b.N / workers
-					if w < b.N%workers {
-						per++
-					}
-					u := phl.UserID(w % ThroughputClients)
-					for i := 0; i < per; i++ {
-						ThroughputRequest(server, u, i)
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
-		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-		rep.Throughput = append(rep.Throughput, E11Throughput{
-			Goroutines:  workers,
-			OpsPerSec:   1e9 / nsPerOp,
-			NsPerOp:     nsPerOp,
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	base := rep.Throughput[0].OpsPerSec
-	for i := range rep.Throughput {
-		rep.Throughput[i].Speedup = rep.Throughput[i].OpsPerSec / base
-	}
-
-	// E1 hot path: Algorithm 1 line-5 query against the grid.
-	grid := stindex.NewGrid(500, 1800)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 10000; i++ {
-		grid.Insert(phl.UserID(rng.Intn(200)), geo.STPoint{
-			P: geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000},
-			T: int64(rng.Intn(14 * 24 * 3600)),
-		})
-	}
-	m := geo.STMetric{TimeScale: 1}
-	e1 := testing.Benchmark(func(b *testing.B) {
-		qrng := rand.New(rand.NewSource(7))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := geo.STPoint{
-				P: geo.Point{X: qrng.Float64() * 8000, Y: qrng.Float64() * 8000},
-				T: int64(qrng.Intn(14 * 24 * 3600)),
-			}
-			stindex.SmallestEnclosingBox(grid, q, 10, m, nil)
-		}
-	})
-	rep.HotPaths = append(rep.HotPaths, allocStats("E1/grid-knn-box/n=10000/k=10", e1))
-
-	// E2 hot path: the generalizer's first-element branch over the same
-	// grid plus a matching store.
-	gen, trace := throughputGeneralizer()
-	e2 := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := trace[i%len(trace)]
-			if _, ok := gen.FirstElement(q, 0, 5, generalize.Unlimited); !ok {
-				b.Fatal("generalization failed")
-			}
-		}
-	})
-	rep.HotPaths = append(rep.HotPaths, allocStats("E2/first-element/k=5", e2))
-	return rep
-}
-
-func allocStats(name string, r testing.BenchmarkResult) E11Alloc {
-	return E11Alloc{
-		Name:        name,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-}
-
-// throughputGeneralizer builds a generalizer over a random crowd and a
-// query trace inside it.
-func throughputGeneralizer() (*generalize.Generalizer, []geo.STPoint) {
-	store := phl.NewStore()
-	idx := stindex.NewGrid(500, 1800)
-	rng := rand.New(rand.NewSource(31))
-	for u := phl.UserID(1); u <= 150; u++ {
-		for i := 0; i < 40; i++ {
-			p := geo.STPoint{
-				P: geo.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000},
-				T: int64(rng.Intn(5 * 24 * 3600)),
-			}
-			store.Record(u, p)
-			idx.Insert(u, p)
-		}
-	}
-	var trace []geo.STPoint
-	for i := 0; i < 64; i++ {
-		trace = append(trace, geo.STPoint{
-			P: geo.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000},
-			T: int64(rng.Intn(5 * 24 * 3600)),
-		})
-	}
-	return &generalize.Generalizer{Index: idx, Store: store, Metric: geo.STMetric{TimeScale: 1}}, trace
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r E11Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

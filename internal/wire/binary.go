@@ -11,14 +11,14 @@ import (
 	"histanon/internal/geo"
 )
 
-// Binary codec for the wire channel. The text codec (codec.go) stays
-// the canonical debug surface; this framing is its byte-exact twin for
-// the hot path: one fixed little-endian header per frame, varint ids
-// and timestamps, fixed-point coordinates with an IEEE escape hatch so
-// every float64 the text codec round-trips, the binary codec
-// round-trips too, and a batch frame that coalesces many frames into
-// one write. internal/check differential-tests the two codecs against
-// each other over the seeded workloads.
+// Binary codec for the wire channel: the one encoding of the TS↔SP
+// messages and of the device→TS batch channel (POST /v1/batch). One
+// fixed little-endian header per frame, varint ids and timestamps,
+// fixed-point coordinates with an IEEE escape hatch so every finite
+// float64 round-trips exactly, and a batch frame that coalesces many
+// frames into one write. internal/check differential-tests the batch
+// channel against the JSON API through the real HTTP handler over the
+// seeded workloads.
 //
 // Frame layout (all multi-byte integers little-endian):
 //
@@ -43,8 +43,8 @@ import (
 //
 // Data maps encode as a varint pair count followed by key/value strings
 // with keys in strictly increasing byte order; the parser rejects
-// unsorted, duplicate and empty keys, mirroring the text codec's
-// canonical "-"/sorted-query encoding.
+// unsorted, duplicate and empty keys, so every map has exactly one
+// encoding and an empty map decodes to nil.
 
 // Magic are the two bytes opening every binary frame.
 var Magic = [2]byte{0x48, 0x57}
@@ -58,11 +58,9 @@ type FrameType byte
 
 // The binary frame types.
 const (
-	// FrameRequest carries a Request — the TS→SP channel, the binary
-	// twin of the text codec's "REQ" line.
+	// FrameRequest carries a Request — the TS→SP channel.
 	FrameRequest FrameType = 1
-	// FrameResponse carries a Response — the SP→TS answer channel, the
-	// binary twin of the text codec's "RESP" line.
+	// FrameResponse carries a Response — the SP→TS answer channel.
 	FrameResponse FrameType = 2
 	// FrameLocation carries a LocationUpdate — a device position sample
 	// on the client→TS ingest channel.
@@ -272,9 +270,8 @@ func appendData(dst []byte, m map[string]string) []byte {
 	return dst
 }
 
-// AppendBinaryRequest appends r as one binary frame. Like the text
-// codec's EncodeRequest it fails when r does not Validate, so malformed
-// requests cannot leave the TS.
+// AppendBinaryRequest appends r as one binary frame. It fails when r
+// does not Validate, so malformed requests cannot leave the TS.
 func AppendBinaryRequest(dst []byte, r *Request) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return dst, err
@@ -551,7 +548,8 @@ func (d requestDst) str(b []byte) string {
 }
 
 // parseRequestPayload decodes a FrameRequest payload into dst and
-// validates the result exactly like the text codec's ParseRequest.
+// rejects a result that does not Validate, so the parser accepts only
+// requests the encoder can produce.
 func parseRequestPayload(flags byte, p []byte, dst requestDst) error {
 	fixed := flags&FlagFixedCoords != 0
 	fr := frameReader{p: p}
@@ -603,7 +601,7 @@ func parseRequestPayload(flags byte, p []byte, dst requestDst) error {
 
 // parseDataInto decodes a canonical data map. The allocating path
 // builds a fresh map; the pooled path refills dst.scratch. Empty maps
-// decode to nil, matching the text codec.
+// decode to nil.
 func parseDataInto(fr *frameReader, dst requestDst) (map[string]string, error) {
 	n, err := fr.uvarint()
 	if err != nil {
@@ -899,8 +897,8 @@ func ParseDecision(frame []byte) (DecisionFrame, error) {
 type BinaryRequest struct {
 	Request
 	// scratch is the recycled data map; Request.Data points at it when
-	// the frame carries data and is nil otherwise (matching the text
-	// codec's nil-for-empty convention).
+	// the frame carries data and is nil otherwise (as ParseBinaryRequest
+	// returns it).
 	scratch map[string]string
 }
 

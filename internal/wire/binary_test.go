@@ -105,39 +105,6 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrossCodecIdentity pushes every case binary→text→binary and
-// asserts the final frame is byte-identical to the first: the two
-// codecs agree on every value either can carry.
-func TestCrossCodecIdentity(t *testing.T) {
-	for name, r := range binaryRequestCases() {
-		t.Run(name, func(t *testing.T) {
-			frame, err := EncodeBinaryRequest(r)
-			if err != nil {
-				t.Fatalf("encode binary: %v", err)
-			}
-			viaBinary, err := ParseBinaryRequest(frame)
-			if err != nil {
-				t.Fatalf("parse binary: %v", err)
-			}
-			line, err := EncodeRequest(viaBinary)
-			if err != nil {
-				t.Fatalf("encode text: %v", err)
-			}
-			viaText, err := ParseRequest(line)
-			if err != nil {
-				t.Fatalf("parse text: %v", err)
-			}
-			again, err := EncodeBinaryRequest(viaText)
-			if err != nil {
-				t.Fatalf("re-encode binary: %v", err)
-			}
-			if !bytes.Equal(frame, again) {
-				t.Fatalf("binary→text→binary not identity:\n got %x\nwant %x", again, frame)
-			}
-		})
-	}
-}
-
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	cases := []*Response{
 		{ID: 42, Service: "weather", Payload: map[string]string{"temp": "21", "sky": "clear"}},
@@ -557,9 +524,10 @@ func TestBatchDecodeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBinaryVsTextRandomized cross-checks the codecs over seeded random
-// requests: both must round-trip to the same struct.
-func TestBinaryVsTextRandomized(t *testing.T) {
+// TestBinaryRandomizedRoundTrip round-trips seeded random requests
+// through the binary codec: the parse must equal the input, and
+// re-encoding it must reproduce the frame byte for byte.
+func TestBinaryRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		r := &Request{
@@ -574,24 +542,23 @@ func TestBinaryVsTextRandomized(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			r.Data = map[string]string{randString(rng): randString(rng), "z" + randString(rng): ""}
 		}
-		line, err := EncodeRequest(r)
-		if err != nil {
-			t.Fatalf("case %d: text encode: %v", i, err)
-		}
-		fromText, err := ParseRequest(line)
-		if err != nil {
-			t.Fatalf("case %d: text parse: %v", i, err)
-		}
 		frame, err := EncodeBinaryRequest(r)
 		if err != nil {
-			t.Fatalf("case %d: binary encode: %v", i, err)
+			t.Fatalf("case %d: encode: %v", i, err)
 		}
-		fromBinary, err := ParseBinaryRequest(frame)
+		got, err := ParseBinaryRequest(frame)
 		if err != nil {
-			t.Fatalf("case %d: binary parse: %v", i, err)
+			t.Fatalf("case %d: parse: %v", i, err)
 		}
-		if !reflect.DeepEqual(fromText, fromBinary) {
-			t.Fatalf("case %d: codecs disagree:\ntext   %+v\nbinary %+v", i, fromText, fromBinary)
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("case %d: round trip:\n got %+v\nwant %+v", i, got, r)
+		}
+		again, err := EncodeBinaryRequest(got)
+		if err != nil {
+			t.Fatalf("case %d: re-encode: %v", i, err)
+		}
+		if !bytes.Equal(frame, again) {
+			t.Fatalf("case %d: re-encode differs:\n got %x\nwant %x", i, again, frame)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"histanon/internal/geo"
 )
@@ -41,6 +42,26 @@ type Request struct {
 
 func (r *Request) String() string {
 	return fmt.Sprintf("req %d pseudo=%s svc=%s ctx=%s", r.ID, r.Pseudonym, r.Service, r.Context)
+}
+
+// Validate reports whether r is a well-formed request: non-empty
+// pseudonym and service, and a valid, finite context box.
+func (r *Request) Validate() error {
+	if r.Pseudonym == "" {
+		return fmt.Errorf("wire: empty pseudonym")
+	}
+	if r.Service == "" {
+		return fmt.Errorf("wire: empty service")
+	}
+	if !r.Context.Area.Valid() || !r.Context.Time.Valid() {
+		return fmt.Errorf("wire: invalid context %v", r.Context)
+	}
+	for _, v := range []float64{r.Context.Area.MinX, r.Context.Area.MinY, r.Context.Area.MaxX, r.Context.Area.MaxY} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("wire: non-finite context coordinate %v", v)
+		}
+	}
+	return nil
 }
 
 // Response is a service provider's answer to a request, routed back to

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -13,72 +12,6 @@ func box(minx, miny, maxx, maxy float64, start, end int64) geo.STBox {
 	return geo.STBox{
 		Area: geo.Rect{MinX: minx, MinY: miny, MaxX: maxx, MaxY: maxy},
 		Time: geo.Interval{Start: start, End: end},
-	}
-}
-
-func TestRequestRoundTrip(t *testing.T) {
-	cases := []Request{
-		{ID: 1, Pseudonym: "p1", Service: "poi", Context: box(0, 0, 100, 100, 0, 60)},
-		{ID: -9, Pseudonym: "p 2", Service: "traffic info",
-			Context: box(-5.25, -1e9, 5.25, 1e9, -100, 100),
-			Data:    map[string]string{"q": "nearest fuel", "lang": "it"}},
-		{ID: math.MaxInt64, Pseudonym: "π=%&+", Service: "a&b=c",
-			Context: box(0.1, 0.2, 0.30000000000000004, 1e300, -1<<62, 1<<62),
-			Data:    map[string]string{"k&=": "v +%", "újratöltés": "igen"}},
-		// Degenerate but valid: point box, instant interval.
-		{ID: 0, Pseudonym: "x", Service: "s", Context: box(7.5, -7.5, 7.5, -7.5, 42, 42)},
-	}
-	for i, in := range cases {
-		enc, err := EncodeRequest(&in)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		if strings.ContainsAny(enc, "\n") {
-			t.Fatalf("case %d: frame contains newline: %q", i, enc)
-		}
-		got, err := ParseRequest(enc)
-		if err != nil {
-			t.Fatalf("case %d: parse %q: %v", i, enc, err)
-		}
-		want := in
-		if len(want.Data) == 0 {
-			want.Data = nil // "-" decodes to nil, not an empty map
-		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("case %d: round trip:\n got %+v\nwant %+v", i, *got, want)
-		}
-		// Canonical: re-encoding the parse must reproduce the frame.
-		re, err := EncodeRequest(got)
-		if err != nil {
-			t.Fatalf("case %d: re-encode: %v", i, err)
-		}
-		if re != enc {
-			t.Fatalf("case %d: non-canonical encoding:\n first %q\nsecond %q", i, enc, re)
-		}
-	}
-}
-
-func TestResponseRoundTrip(t *testing.T) {
-	cases := []Response{
-		{ID: 5, Service: "poi"},
-		{ID: -1, Service: "traffic info", Payload: map[string]string{"eta": "12 min", "route": "A4&A8"}},
-	}
-	for i, in := range cases {
-		enc, err := EncodeResponse(&in)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		got, err := ParseResponse(enc)
-		if err != nil {
-			t.Fatalf("case %d: parse %q: %v", i, enc, err)
-		}
-		want := in
-		if len(want.Payload) == 0 {
-			want.Payload = nil
-		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("case %d: round trip:\n got %+v\nwant %+v", i, *got, want)
-		}
 	}
 }
 
@@ -104,69 +37,8 @@ func TestValidateRejects(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", m.name, r)
 		}
-		if _, err := EncodeRequest(&r); err == nil {
-			t.Errorf("%s: EncodeRequest accepted %+v", m.name, r)
-		}
-	}
-}
-
-func TestParseRequestRejects(t *testing.T) {
-	good, err := EncodeRequest(&Request{ID: 3, Pseudonym: "p", Service: "s",
-		Context: box(0, 0, 1, 1, 0, 1), Data: map[string]string{"a": "1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseRequest(good); err != nil {
-		t.Fatalf("control frame rejected: %v", err)
-	}
-	bad := []struct {
-		name  string
-		frame string
-	}{
-		{"empty", ""},
-		{"truncated", strings.Join(strings.Split(good, " ")[:8], " ")},
-		{"extra field", good + " extra"},
-		{"wrong tag", strings.Replace(good, "REQ", "QER", 1)},
-		{"wrong version", strings.Replace(good, " v1 ", " v2 ", 1)},
-		{"bad msgid", "REQ v1 zzz p s 0 0 1 1 0 1 -"},
-		{"bad float", "REQ v1 3 p s 0 zero 1 1 0 1 -"},
-		{"nan smuggled", "REQ v1 3 p s NaN 0 1 1 0 1 -"},
-		{"inf smuggled", "REQ v1 3 p s 0 0 +Inf 1 0 1 -"},
-		{"inverted box", "REQ v1 3 p s 5 0 1 1 0 1 -"},
-		{"inverted time", "REQ v1 3 p s 0 0 1 1 9 1 -"},
-		{"bad escape", "REQ v1 3 p%ZZ s 0 0 1 1 0 1 -"},
-		{"empty data field", "REQ v1 3 p s 0 0 1 1 0 1 "},
-		{"data without equals", "REQ v1 3 p s 0 0 1 1 0 1 novalue"},
-		{"empty data key", "REQ v1 3 p s 0 0 1 1 0 1 =v"},
-		{"duplicate data key", "REQ v1 3 p s 0 0 1 1 0 1 a=1&a=2"},
-	}
-	for _, b := range bad {
-		if r, err := ParseRequest(b.frame); err == nil {
-			t.Errorf("%s: ParseRequest accepted %q as %+v", b.name, b.frame, r)
-		}
-	}
-}
-
-func TestParseResponseRejects(t *testing.T) {
-	for _, frame := range []string{
-		"",
-		"RESP v1 1 s",
-		"RESP v2 1 s -",
-		"REQ v1 1 s -",
-		"RESP v1 x s -",
-		"RESP v1 1 %ZZ -",
-		"RESP v1 1 s a=1&a=2",
-		"RESP v1 1 %20 -", // service decodes to " " but empty check is on ""
-	} {
-		_, err := ParseResponse(frame)
-		if frame == "RESP v1 1 %20 -" {
-			if err != nil {
-				t.Errorf("space service should parse (escaped): %v", err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("ParseResponse accepted %q", frame)
+		if _, err := EncodeBinaryRequest(&r); err == nil {
+			t.Errorf("%s: EncodeBinaryRequest accepted %+v", m.name, r)
 		}
 	}
 }
