@@ -89,7 +89,7 @@ func (c *Client) SetPolicy(user int64, k int, theta float64, suppress bool) erro
 	return c.post("/v1/policy", PolicyRequest{User: user, K: k, Theta: theta, Suppress: suppress}, &out)
 }
 
-// Stats fetches the server's counters and summaries.
+// Stats fetches the server's event counters and generalization means.
 func (c *Client) Stats() (StatsResponse, error) {
 	var out StatsResponse
 	resp, err := c.httpClient().Get(c.BaseURL + "/v1/stats")

@@ -118,11 +118,12 @@ type PolicyRequest struct {
 	Suppress bool    `json:"suppress,omitempty"`
 }
 
-// StatsResponse is the body of GET /v1/stats.
+// StatsResponse is the body of GET /v1/stats: the events counted at
+// least once, and the count and exact mean area (m²) and interval (s)
+// of the forwarded generalized contexts, from the server's histograms.
 type StatsResponse struct {
 	Counters     map[string]int64 `json:"counters"`
 	GenAreaMean  float64          `json:"genAreaMean"`
-	GenAreaP95   float64          `json:"genAreaP95"`
 	GenWindow    float64          `json:"genWindowMean"`
 	GenSamples   int              `json:"genSamples"`
 	TrackedUsers int              `json:"trackedUsers"`
@@ -578,15 +579,15 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, name := range h.srv.Counters.Names() {
 		counters[name] = h.srv.Counters.Get(name)
 	}
+	area, interval := h.srv.Obs.GenAreaM2, h.srv.Obs.GenIntervalS
 	resp := StatsResponse{
 		Counters:     counters,
-		GenSamples:   h.srv.AreaM2.N(),
+		GenSamples:   int(area.Count()),
 		TrackedUsers: h.srv.Store().NumUsers(),
 	}
 	if resp.GenSamples > 0 {
-		resp.GenAreaMean = h.srv.AreaM2.Mean()
-		resp.GenAreaP95 = h.srv.AreaM2.Quantile(0.95)
-		resp.GenWindow = h.srv.IntervalS.Mean()
+		resp.GenAreaMean = area.Sum() / float64(resp.GenSamples)
+		resp.GenWindow = interval.Sum() / float64(resp.GenSamples)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,5 +1,5 @@
-// Fixed-bucket histograms: the distribution-shaped complement to the
-// Counters/Summary pair. A Histogram is lock-free on the Observe path
+// Fixed-bucket histograms: the bounded, distribution-shaped complement
+// to Summary. A Histogram is lock-free on the Observe path
 // (atomic adds only), mergeable across shards or replay runs, and
 // renders natively into the Prometheus exposition format (see
 // prometheus.go).

@@ -3,9 +3,9 @@
 // quality-of-service and privacy numbers:
 //
 //   - Summary — streaming order statistics (mean, quantiles, extrema)
-//     over an in-memory sample set, with an incrementally maintained
-//     sorted view so interleaved Add/Quantile traffic stays cheap.
-//   - Counters — named monotone counters ("requests", "unlinkings", …).
+//     over an in-memory sample set that keeps every sample, with an
+//     incrementally maintained sorted view so interleaved Add/Quantile
+//     traffic stays cheap.
 //   - CounterVec — labeled counter families in the Prometheus data
 //     model (countervec.go).
 //   - Histogram — fixed-bucket, wait-free histograms with merge and
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -133,56 +132,6 @@ func (s *Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f",
 		s.N(), s.Mean(), s.Quantile(0.5), s.Quantile(0.95), s.Max())
-}
-
-// Counters is a set of named monotone counters, safe for concurrent use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) { c.Addn(name, 1) }
-
-// Addn adds n to the named counter.
-func (c *Counters) Addn(name string, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[name] += n
-}
-
-// Get returns the counter value (zero when never incremented).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders "a=1 b=2 …" in name order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for i, name := range c.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, c.Get(name))
-	}
-	return b.String()
 }
 
 // Ratio returns a/b as a float, or NaN when b is zero — handy for rates

@@ -83,40 +83,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a")
-	c.Inc("a")
-	c.Addn("b", 5)
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("zz") != 0 {
-		t.Fatalf("counters wrong: %s", c)
-	}
-	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Names=%v", got)
-	}
-	if got := c.String(); got != "a=2 b=5" {
-		t.Fatalf("String=%q", got)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc("hits")
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Get("hits") != 8000 {
-		t.Fatalf("hits=%d", c.Get("hits"))
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if got := Ratio(1, 4); got != 0.25 {
 		t.Fatalf("Ratio=%g", got)

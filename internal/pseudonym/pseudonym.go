@@ -14,20 +14,20 @@ import (
 
 // Manager assigns and rotates pseudonyms. It is safe for concurrent use.
 type Manager struct {
-	mu        sync.Mutex
-	seq       int64
-	rotations int64
-	current   map[phl.UserID]wire.Pseudonym
+	mu      sync.Mutex
+	seq     int64
+	current map[phl.UserID]wire.Pseudonym
+	// owner resolves retired pseudonyms too; rotations counts them.
 	owner     map[wire.Pseudonym]phl.UserID
-	past      map[phl.UserID][]wire.Pseudonym
+	rotations map[phl.UserID]int
 }
 
 // NewManager returns an empty manager.
 func NewManager() *Manager {
 	return &Manager{
-		current: make(map[phl.UserID]wire.Pseudonym),
-		owner:   make(map[wire.Pseudonym]phl.UserID),
-		past:    make(map[phl.UserID][]wire.Pseudonym),
+		current:   make(map[phl.UserID]wire.Pseudonym),
+		owner:     make(map[wire.Pseudonym]phl.UserID),
+		rotations: make(map[phl.UserID]int),
 	}
 }
 
@@ -53,22 +53,12 @@ func (m *Manager) Rotate(u phl.UserID) (old, fresh wire.Pseudonym) {
 	defer m.mu.Unlock()
 	old, had := m.current[u]
 	if had {
-		m.past[u] = append(m.past[u], old)
+		m.rotations[u]++
 	}
 	fresh = m.fresh()
 	m.current[u] = fresh
 	m.owner[fresh] = u
-	m.rotations++
 	return old, fresh
-}
-
-// TotalRotations returns the rotation count across all users — the
-// fleet-wide unlinking activity the observability layer exposes as the
-// histanon_pseudonym_rotations_total counter.
-func (m *Manager) TotalRotations() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rotations
 }
 
 // Owner resolves a pseudonym (current or retired) to its user.
@@ -85,7 +75,7 @@ func (m *Manager) Owner(p wire.Pseudonym) (phl.UserID, bool) {
 func (m *Manager) Rotations(u phl.UserID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.past[u])
+	return m.rotations[u]
 }
 
 // fresh mints an unused pseudonym. Callers hold m.mu.

@@ -124,10 +124,17 @@ func applyDefaults(cfg ScenarioConfig) ScenarioConfig {
 	return def
 }
 
-// GeneralizedStats summarizes the resolution of the generalized,
-// forwarded requests.
+// GeneralizedStats summarizes the area (m²) and interval (s) of the
+// generalized, forwarded requests' contexts, in request order.
 func (r *ScenarioResult) GeneralizedStats() (area, interval *metrics.Summary) {
-	return r.Server.AreaM2, r.Server.IntervalS
+	area, interval = &metrics.Summary{}, &metrics.Summary{}
+	for _, d := range r.Decisions {
+		if d.Forwarded && d.Generalized {
+			area.Add(d.Request.Context.Area.Area())
+			interval.Add(float64(d.Request.Context.Time.Duration()))
+		}
+	}
+	return area, interval
 }
 
 // ExposedSeries returns, for each user whose LBQID was fully exposed,

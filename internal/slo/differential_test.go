@@ -1,7 +1,7 @@
 // Differential test: the SLO engine's windowed achieved-k aggregates
 // must agree bit-exactly with obs.ReplayAchievedK over the audit log for
 // the same logical interval. Both sides observe the same decision stream
-// from a real server pipeline — the engine through ts.finishRequest, the
+// from a real server pipeline — the engine through the TS's finish, the
 // replay through the KindRequest audit records — so any divergence means
 // the live aggregation has drifted from the audited ground truth.
 //

@@ -79,8 +79,8 @@ func TestAuditRotationEvents(t *testing.T) {
 			t.Fatalf("rotation event lacks a zone: %+v", e)
 		}
 	}
-	if got := s.Pseudonyms().TotalRotations(); int(got) != rotations {
-		t.Fatalf("manager counted %d rotations, audit log has %d", got, rotations)
+	if got := s.Counters.Get("unlinkings"); int(got) != rotations {
+		t.Fatalf("server counted %d rotations, audit log has %d", got, rotations)
 	}
 }
 

@@ -30,10 +30,10 @@
 // user serialize on that user's lock. Cross-user state is confined to
 // components with their own narrow synchronization: the PHL store and
 // the spatio-temporal index (internally concurrency-safe), the
-// pseudonym manager, the metrics counters/summaries, the atomic message
-// counter, and the generalizer's mutex-guarded randomizer. The user
-// registry itself sits behind a short RWMutex taken only to look up or
-// create a user's state.
+// pseudonym manager, the atomic event and message counters, the
+// observer's wait-free histograms, and the generalizer's mutex-guarded
+// randomizer. The user registry itself sits behind a short RWMutex
+// taken only to look up or create a user's state.
 //
 // Lock ordering: a request holds only its user's lock while running;
 // the registry lock and component-internal locks nest strictly inside
@@ -386,13 +386,9 @@ type Server struct {
 	routes  map[wire.MsgID]phl.UserID
 	inboxes map[phl.UserID]Inbox
 
-	// Counters: requests, forwarded, generalized, hk_failures,
-	// unlinkings, at_risk, suppressed, exposures.
-	Counters *metrics.Counters
-	// AreaM2 and IntervalS summarize the resolution of forwarded
-	// generalized requests.
-	AreaM2    *metrics.Summary
-	IntervalS *metrics.Summary
+	// Counters counts pipeline events by name ("requests", "forwarded",
+	// "unlinkings", …); OBSERVABILITY.md lists them.
+	Counters *Counters
 
 	// Obs is the observability layer: span tracer (sampling off by
 	// default), privacy histograms and the optional audit sink. See
@@ -471,20 +467,18 @@ func New(cfg Config, out Outbox) *Server {
 		}
 	}
 	s := &Server{
-		cfg:       cfg,
-		out:       out,
-		store:     store,
-		index:     index,
-		pseud:     pseudonym.NewManager(),
-		users:     make(map[phl.UserID]*userState),
-		routes:    make(map[wire.MsgID]phl.UserID),
-		inboxes:   make(map[phl.UserID]Inbox),
-		Counters:  metrics.NewCounters(),
-		AreaM2:    &metrics.Summary{},
-		IntervalS: &metrics.Summary{},
-		Obs:       obs.New(),
-		SLO:       slo.New(cfg.SLO),
-		Wire:      NewWireStats(),
+		cfg:      cfg,
+		out:      out,
+		store:    store,
+		index:    index,
+		pseud:    pseudonym.NewManager(),
+		users:    make(map[phl.UserID]*userState),
+		routes:   make(map[wire.MsgID]phl.UserID),
+		inboxes:  make(map[phl.UserID]Inbox),
+		Counters: &Counters{},
+		Obs:      obs.New(),
+		SLO:      slo.New(cfg.SLO),
+		Wire:     NewWireStats(),
 	}
 	// SLO state transitions audit through the observer's sink, so they
 	// land in the same log as the decisions that caused the burn.
@@ -513,27 +507,16 @@ func (s *Server) Store() phl.Storer { return s.store }
 // (experiments use it as the re-identification ground truth).
 func (s *Server) Pseudonyms() *pseudonym.Manager { return s.pseud }
 
-// counterEvents is the closed set of event counter names the server
-// increments; each becomes one series of the histanon_ts_events_total
-// family. OBSERVABILITY.md documents their meanings.
-var counterEvents = []string{
-	"requests", "forwarded", "generalized", "hk_failures", "unlinkings",
-	"at_risk", "suppressed", "degraded", "exposures", "ondemand_zones",
-	"unlink_failures", "responses", "responses_unroutable",
-}
-
 // MetricsRegistry returns the server's Prometheus registry, building it
 // on first use. internal/httpapi serves it at GET /metrics; every
 // family it registers is documented in OBSERVABILITY.md.
 func (s *Server) MetricsRegistry() *metrics.Registry {
 	s.regOnce.Do(func() {
 		r := metrics.NewRegistry()
-		for _, name := range counterEvents {
-			name := name
+		for e, name := range eventNames {
 			r.RegisterCounterFunc(obs.MetricEvents,
 				"Trusted-server pipeline events by type.",
-				metrics.Labels{"event": name},
-				func() int64 { return s.Counters.Get(name) })
+				metrics.Labels{"event": name}, s.Counters.n[e].Load)
 		}
 		for _, stage := range obs.Stages() {
 			r.RegisterHistogram(obs.MetricStageSeconds,
@@ -551,10 +534,11 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 			nil, s.Obs.GenIntervalS)
 		r.RegisterCounterFunc(obs.MetricGenFailures,
 			"Requests whose generalization could not preserve historical k-anonymity.",
-			nil, func() int64 { return s.Counters.Get("hk_failures") })
+			nil, s.Counters.n[evHKFailures].Load)
+		// rotate, the only caller of pseud.Rotate, counts each unlinking.
 		r.RegisterCounterFunc(obs.MetricRotations,
 			"Pseudonym rotations (unlinking actions) across all users.",
-			nil, s.pseud.TotalRotations)
+			nil, s.Counters.n[evUnlinkings].Load)
 		r.RegisterGaugeFunc(obs.MetricPHLUsers,
 			"Users with at least one PHL sample.",
 			nil, func() float64 { return float64(s.store.NumUsers()) })
@@ -830,7 +814,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	if collect {
 		// The span comes from the pool and carries its identity in
 		// binary form; hex ids are rendered only if the tail sampler
-		// keeps it. RecordSpan (via finishRequest) recycles it.
+		// keeps it. RecordSpan (via finish) recycles it.
 		sp = obs.NewSpan()
 		sp.SetIdentity(tc, parent)
 		sp.Kind = obs.SpanKindRequest
@@ -861,28 +845,26 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	st := s.state(u)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s.Counters.Inc("requests")
 	// Assign the pseudonym up front: an unlinking action during this
 	// request must retire the pseudonym the SP has already seen (or
 	// would see).
 	s.pseud.Current(u)
+	r := record{Decision: Decision{Trace: tc}, user: u, point: p, service: service}
 
 	// An active on-demand mix zone suppresses service inside its window.
 	if st.plan != nil {
 		if st.plan.Suppresses(p.P, p.T) {
-			s.Counters.Inc("suppressed")
-			dec := Decision{Suppressed: true}
-			s.finishRequest(collect, head, sp, tc, u, p, service, &dec,
-				0, 0, 0, generalize.Unlimited, geo.STBox{}, "ondemand")
-			return dec
+			r.Suppressed = true
+			r.zone = "ondemand"
+			return s.finish(&r, sp, head)
 		}
 		if p.T > st.plan.Window.End {
 			st.plan = nil
 		}
 	}
 
-	id := wire.MsgID(s.nextID.Add(1))
-	dec := Decision{HKAnonymity: true}
+	r.id = wire.MsgID(s.nextID.Add(1))
+	r.HKAnonymity = true
 
 	// Effective policy for this request: the rule resolver, when
 	// configured, overrides the user's registered policy.
@@ -892,6 +874,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 			pol = resolved
 		}
 	}
+	r.requestedK = pol.K
 
 	// Step 1 of §6.1: monitor all incoming requests for LBQID exposure.
 	// A request may match several patterns (the paper notes Algorithm 1
@@ -904,16 +887,16 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	}
 	var matched []int
 	for i, m := range st.matchers {
-		out := m.Offer(lbqid.RequestID(id), p)
+		out := m.Offer(lbqid.RequestID(r.id), p)
 		if out.Matched {
 			matched = append(matched, i)
-			if dec.MatchedLBQID != "" {
-				dec.MatchedLBQID += ","
+			if r.MatchedLBQID != "" {
+				r.MatchedLBQID += ","
 			}
-			dec.MatchedLBQID += st.patterns[i].Name
+			r.MatchedLBQID += st.patterns[i].Name
 		}
 		if out.Satisfied {
-			dec.QIDExposed = true
+			r.QIDExposed = true
 		}
 	}
 	if detail {
@@ -933,16 +916,12 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 		*tm = generalize.Timings{}
 		defer timingsPool.Put(tm)
 	}
-	achievedK := 0 // witnesses+1, minimum over matched patterns
-	tol := generalize.Unlimited
-	zone := ""
 
-	ctx := geo.STBoxAround(p) // exact context unless generalized
+	r.ctx = geo.STBoxAround(p) // exact context unless generalized
 	if len(matched) > 0 {
-		dec.Generalized = true
-		s.Counters.Inc("generalized")
-		tol = s.tolerance(service)
-		achievedK = int(^uint(0) >> 1)
+		r.Generalized = true
+		r.tol = s.tolerance(service)
+		r.achievedK = int(^uint(0) >> 1) // minimum over matched patterns
 		for _, pi := range matched {
 			sess, ok := st.sessions[pi]
 			if !ok {
@@ -950,25 +929,25 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 				st.sessions[pi] = sess
 			}
 			sess.Trace = tm
-			res, found := sess.Generalize(p, tol)
+			res, found := sess.Generalize(p, r.tol)
 			if !found {
-				dec.HKAnonymity = false
-				achievedK = 1 // only the issuer's own history fits
+				r.HKAnonymity = false
+				r.achievedK = 1 // only the issuer's own history fits
 				continue
 			}
-			if got := len(res.Users) + 1; got < achievedK {
-				achievedK = got
+			if got := len(res.Users) + 1; got < r.achievedK {
+				r.achievedK = got
 			}
-			ctx = ctx.Union(res.Box)
-			dec.HKAnonymity = dec.HKAnonymity && res.HKAnonymity
+			r.ctx = r.ctx.Union(res.Box)
+			r.HKAnonymity = r.HKAnonymity && res.HKAnonymity
 		}
 		// The union of several within-tolerance boxes can itself exceed
 		// the tolerance.
-		if !tol.Allows(ctx) {
-			dec.HKAnonymity = false
-			ctx = geo.STBox{
-				Area: ctx.Area.ShrinkToward(p.P, tolMaxW(tol, ctx), tolMaxH(tol, ctx)),
-				Time: ctx.Time.ShrinkToward(p.T, tolMaxD(tol, ctx)),
+		if !r.tol.Allows(r.ctx) {
+			r.HKAnonymity = false
+			r.ctx = geo.STBox{
+				Area: r.ctx.Area.ShrinkToward(p.P, tolMaxW(r.tol, r.ctx), tolMaxH(r.tol, r.ctx)),
+				Time: r.ctx.Time.ShrinkToward(p.T, tolMaxD(r.tol, r.ctx)),
 			}
 		}
 		if detail {
@@ -976,14 +955,12 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 			sp.AddStage(obs.StageBox, tm.BoxNanos)
 			sp.AddStage(obs.StageTolerance, tm.ToleranceNanos)
 		}
-		s.Obs.AchievedK.Observe(float64(achievedK))
-		if !dec.HKAnonymity {
-			s.Counters.Inc("hk_failures")
+		if !r.HKAnonymity {
 			// Step 2 of §6.1: try to unlink future requests.
 			if detail {
 				sp.Sync()
 			}
-			zone = s.unlink(u, st, pol, p, &dec, tc)
+			s.unlink(st, pol, &r)
 			if detail {
 				sp.Mark(obs.StageUnlink)
 			}
@@ -991,13 +968,10 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	}
 
 	if st.atRisk {
-		dec.AtRisk = true
+		r.AtRisk = true
 		if pol.SuppressAtRisk {
-			s.Counters.Inc("suppressed")
-			dec.Suppressed = true
-			s.finishRequest(collect, head, sp, tc, u, p, service, &dec,
-				id, pol.K, achievedK, tol, ctx, zone)
-			return dec
+			r.Suppressed = true
+			return s.finish(&r, sp, head)
 		}
 	}
 
@@ -1017,29 +991,20 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 			reason = "storage_cold_read"
 		}
 		if reason != "" {
-			dec.Suppressed = true
-			dec.Degraded = true
-			dec.DegradedReason = reason
-			if collect {
-				sp.Event("shed_" + reason)
-			}
-			s.Counters.Inc("suppressed")
-			s.Counters.Inc("degraded")
-			s.finishRequest(collect, head, sp, tc, u, p, service, &dec,
-				id, pol.K, achievedK, tol, ctx, zone)
-			return dec
+			r.Suppressed, r.Degraded, r.DegradedReason = true, true, reason
+			return s.finish(&r, sp, head)
 		}
 	}
 
 	req := &wire.Request{
-		ID:        id,
+		ID:        r.id,
 		Pseudonym: s.pseud.Current(u),
-		Context:   ctx,
+		Context:   r.ctx,
 		Service:   service,
 		Data:      data,
 	}
 	s.respMu.Lock()
-	s.routes[id] = u
+	s.routes[r.id] = u
 	s.respMu.Unlock()
 	if detail {
 		sp.Sync()
@@ -1053,137 +1018,137 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	default:
 		s.out.Deliver(req)
 	}
+	if detail {
+		sp.Mark(obs.StageForward)
+	}
 	if deliverErr != nil {
 		// Fail closed: the delivery layer refused admission (queue
 		// full, breaker open, shutdown), so the request is withheld —
 		// degraded to suppression, never forwarded with weaker
 		// guarantees. The route can never be answered; reclaim it.
 		s.respMu.Lock()
-		delete(s.routes, id)
+		delete(s.routes, r.id)
 		s.respMu.Unlock()
-		dec.Suppressed = true
-		dec.Degraded = true
-		dec.DegradedReason = degradeReason(deliverErr)
-		if collect {
-			// The shed event names the admission failure; a
-			// "shed_breaker_open" event also trips the tail sampler's
-			// breaker keep rule. Events belong to the collect tier —
-			// they are exactly what tail-rescued spans are kept for.
-			sp.Event("shed_" + dec.DegradedReason)
-		}
-		if detail {
-			sp.Mark(obs.StageForward)
-		}
-		s.Counters.Inc("suppressed")
-		s.Counters.Inc("degraded")
-		s.finishRequest(collect, head, sp, tc, u, p, service, &dec, id, pol.K, achievedK, tol, ctx, zone)
-		return dec
+		r.Suppressed, r.Degraded, r.DegradedReason = true, true, degradeReason(deliverErr)
+		return s.finish(&r, sp, head)
 	}
-	if detail {
-		sp.Mark(obs.StageForward)
-	}
-	dec.Forwarded = true
-	dec.Request = req
-	s.Counters.Inc("forwarded")
-	if dec.QIDExposed {
-		s.Counters.Inc("exposures")
-	}
-	if dec.Generalized {
-		s.AreaM2.Add(ctx.Area.Area())
-		s.IntervalS.Add(float64(ctx.Time.Duration()))
-		s.Obs.GenAreaM2.Observe(ctx.Area.Area())
-		s.Obs.GenIntervalS.Observe(float64(ctx.Time.Duration()))
-	}
-	s.finishRequest(collect, head, sp, tc, u, p, service, &dec, id, pol.K, achievedK, tol, ctx, zone)
-	return dec
+	r.Forwarded = true
+	r.Request = req
+	return s.finish(&r, sp, head)
 }
 
-// finishRequest closes out one request's observability: it records the
-// collected span (the tail sampler decides retention when the head
-// sampler didn't), stamps the decision's trace identity, and, when the
-// decision is privacy-relevant (the request matched an LBQID, was
-// suppressed, triggered an unlinking, or found the user at risk),
-// appends the audit record. Plain pass-through requests produce
-// neither.
-func (s *Server) finishRequest(collect, head bool, sp *obs.Span, tc obs.TraceContext,
-	u phl.UserID, p geo.STPoint, service string, dec *Decision, id wire.MsgID,
-	requestedK, achievedK int, tol generalize.Tolerance, ctx geo.STBox, zone string) {
+// record is one request's decision record: the Decision its caller
+// gets back, plus what the request's other signals need.
+// OBSERVABILITY.md maps each field to the signals finish derives from
+// it.
+type record struct {
+	Decision
+	user       phl.UserID
+	point      geo.STPoint
+	service    string
+	id         wire.MsgID // zero when suppressed before one was assigned
+	requestedK int        // the effective policy's k
+	achievedK  int        // witnesses+1, minimum over matched patterns; 0 unless generalized
+	tol        generalize.Tolerance
+	ctx        geo.STBox // the released context: exact unless generalized
+	zone       string    // the mix zone that suppressed the request or enabled its rotation
+}
 
-	// Every return path funnels through here, so this is the SLO feed
-	// point: one atomic load when the engine is off.
+// finish derives every signal of one request from its decision record
+// and returns the caller's Decision; no other code counts a request's
+// events or observes its histograms. sp is the collected span (nil if
+// none) and head marks a head-sampler retention. Only privacy-relevant
+// decisions are audited: matched, suppressed, unlinked or at risk.
+func (s *Server) finish(r *record, sp *obs.Span, head bool) Decision {
+	released := r.Forwarded && r.Generalized
+	c := s.Counters
+	c.inc(evRequests)
+	c.incIf(evGeneralized, r.Generalized)
+	c.incIf(evHKFailures, r.Generalized && !r.HKAnonymity)
+	c.incIf(evSuppressed, r.Suppressed)
+	c.incIf(evDegraded, r.Degraded)
+	c.incIf(evForwarded, r.Forwarded)
+	c.incIf(evExposures, r.Forwarded && r.QIDExposed)
+	if r.Generalized {
+		s.Obs.AchievedK.Observe(float64(r.achievedK))
+	}
+	if released {
+		s.Obs.GenAreaM2.Observe(r.ctx.Area.Area())
+		s.Obs.GenIntervalS.Observe(float64(r.ctx.Time.Duration()))
+	}
+
+	// One atomic load when the SLO engine is off.
 	if s.SLO.Enabled() {
 		sd := slo.Decision{
-			T:           p.T,
-			RequestedK:  requestedK,
-			AchievedK:   achievedK,
-			Generalized: dec.Generalized,
-			Forwarded:   dec.Forwarded,
-			Suppressed:  dec.Suppressed,
-			Degraded:    dec.Degraded,
-			User:        int64(u),
+			T:           r.point.T,
+			RequestedK:  r.requestedK,
+			AchievedK:   r.achievedK,
+			Generalized: r.Generalized,
+			Forwarded:   r.Forwarded,
+			Suppressed:  r.Suppressed,
+			Degraded:    r.Degraded,
+			User:        int64(r.user),
 		}
-		if dec.Request != nil {
-			sd.Pseudonym = string(dec.Request.Pseudonym)
-			sd.Box = ctx
+		if r.Forwarded {
+			sd.Pseudonym = string(r.Request.Pseudonym)
+			sd.Box = r.ctx
 		}
 		s.SLO.Observe(sd)
 	}
 
 	outcome := obs.OutcomeForwarded
-	if dec.Suppressed {
+	if r.Suppressed {
 		outcome = obs.OutcomeSuppressed
 	}
-	if dec.Degraded {
+	if r.Degraded {
 		outcome = obs.OutcomeDegraded
 	}
-	// The binary context is stored as-is; Decision.TraceID/Traceparent
-	// render hex on demand, so callers that never look pay nothing.
-	dec.Trace = tc
-	if collect {
-		sp.MsgID = int64(id)
-		sp.Generalized = dec.Generalized
-		sp.Unlinked = dec.Unlinked
-		sp.AtRisk = dec.AtRisk
+	if sp != nil {
+		if r.Degraded {
+			// The shed event names the failure; "shed_breaker_open" also
+			// trips the tail sampler's breaker keep rule.
+			sp.Event("shed_" + r.DegradedReason)
+		}
+		sp.MsgID = int64(r.id)
+		sp.Generalized = r.Generalized
+		sp.Unlinked = r.Unlinked
+		sp.AtRisk = r.AtRisk
 		sp.Outcome = outcome
 		// RecordSpan recycles the pooled span; sp must not be touched
 		// after this call.
 		s.Obs.RecordSpan(sp, head)
 	}
-	if !dec.Generalized && !dec.Suppressed && !dec.Unlinked && !dec.AtRisk {
-		return
-	}
-	a := s.Obs.AuditSink()
-	if a == nil {
-		return
-	}
-	e := obs.Event{
-		T:           p.T,
-		Kind:        obs.KindRequest,
-		TraceID:     dec.TraceID(),
-		User:        int64(u),
-		MsgID:       int64(id),
-		Service:     service,
-		Matched:     dec.MatchedLBQID,
-		RequestedK:  requestedK,
-		AchievedK:   achievedK,
-		HKAnonymity: dec.HKAnonymity,
-		Outcome:     outcome,
-		Reason:      dec.DegradedReason,
-		Unlinked:    dec.Unlinked,
-		AtRisk:      dec.AtRisk,
-		Zone:        zone,
-	}
-	if dec.Forwarded && dec.Generalized {
-		e.AreaM2 = ctx.Area.Area()
-		e.IntervalS = ctx.Time.Duration()
-		if tol.MaxWidth > 0 && tol.MaxHeight > 0 {
-			e.AreaTolFrac = e.AreaM2 / (tol.MaxWidth * tol.MaxHeight)
+	if a := s.Obs.AuditSink(); a != nil && (r.Generalized || r.Suppressed || r.Unlinked || r.AtRisk) {
+		e := obs.Event{
+			T:           r.point.T,
+			Kind:        obs.KindRequest,
+			TraceID:     r.TraceID(),
+			User:        int64(r.user),
+			MsgID:       int64(r.id),
+			Service:     r.service,
+			Matched:     r.MatchedLBQID,
+			RequestedK:  r.requestedK,
+			AchievedK:   r.achievedK,
+			HKAnonymity: r.HKAnonymity,
+			Outcome:     outcome,
+			Reason:      r.DegradedReason,
+			Unlinked:    r.Unlinked,
+			AtRisk:      r.AtRisk,
+			Zone:        r.zone,
 		}
-		if tol.MaxDuration > 0 {
-			e.TimeTolFrac = float64(e.IntervalS) / float64(tol.MaxDuration)
+		if released {
+			e.AreaM2 = r.ctx.Area.Area()
+			e.IntervalS = r.ctx.Time.Duration()
+			if r.tol.MaxWidth > 0 && r.tol.MaxHeight > 0 {
+				e.AreaTolFrac = e.AreaM2 / (r.tol.MaxWidth * r.tol.MaxHeight)
+			}
+			if r.tol.MaxDuration > 0 {
+				e.TimeTolFrac = float64(e.IntervalS) / float64(r.tol.MaxDuration)
+			}
 		}
+		a.Log(e)
 	}
-	a.Log(e)
+	return r.Decision
 }
 
 // degradeReason turns an admission error into its audit reason label.
@@ -1211,21 +1176,21 @@ func (s *Server) decayFor(p Policy) generalize.DecaySchedule {
 // unlink performs the §6.1 step-2 action: rotate the pseudonym — inside
 // a static mix zone the user recently crossed, or inside a freshly
 // planned on-demand zone — and reset all partially matched patterns. On
-// failure the user is flagged at risk. It returns the audit label of
-// the zone that enabled the rotation ("" when none did); tc is the
-// triggering request's trace context for the rotation audit record.
+// success it marks the request's record unlinked and names the zone
+// that enabled the rotation; on failure the user is flagged at risk.
 // Callers hold st.mu.
-func (s *Server) unlink(u phl.UserID, st *userState, pol Policy, p geo.STPoint, dec *Decision, tc obs.TraceContext) string {
+func (s *Server) unlink(st *userState, pol Policy, r *record) {
+	u, p := r.user, r.point
 	// A recent static-zone crossing makes rotation safe immediately.
 	lookback := p.T - 4*3600
 	if z, crossed := s.cfg.StaticZones.CrossedZone(s.store.History(u), lookback, p.T); crossed {
-		zone := z.Name
-		if zone == "" {
-			zone = "static"
+		r.zone = z.Name
+		if r.zone == "" {
+			r.zone = "static"
 		}
-		s.rotate(u, st, p.T, zone, tc)
-		dec.Unlinked = true
-		return zone
+		s.rotate(u, st, p.T, r.zone, r.Trace)
+		r.Unlinked = true
+		return
 	}
 	// Otherwise plan an on-demand mix zone around the user.
 	plan, ok := s.cfg.OnDemand.Plan(s.index, s.store, u, p.P, p.T, pol.K-1, s.cfg.Metric)
@@ -1238,24 +1203,23 @@ func (s *Server) unlink(u phl.UserID, st *userState, pol Policy, p geo.STPoint, 
 			plan.Window.End = plan.Window.Start + minQuiet
 		}
 		st.plan = &plan
-		zone := "ondemand"
+		r.zone = "ondemand"
 		if plan.Fallback {
-			zone = "ondemand_fallback"
+			r.zone = "ondemand_fallback"
 		}
-		s.rotate(u, st, p.T, zone, tc)
-		dec.Unlinked = true
-		s.Counters.Inc("ondemand_zones")
-		return zone
+		s.rotate(u, st, p.T, r.zone, r.Trace)
+		r.Unlinked = true
+		s.Counters.inc(evOndemandZones)
+		return
 	}
-	s.Counters.Inc("unlink_failures")
+	s.Counters.inc(evUnlinkFailures)
 	if !st.atRisk {
 		st.atRisk = true
-		s.Counters.Inc("at_risk")
+		s.Counters.inc(evAtRisk)
 		if n := s.getNotifier(); n != nil {
 			n.AtRisk(u, "generalization failed and no unlinking opportunity")
 		}
 	}
-	return ""
 }
 
 // rotate changes the pseudonym and resets all exposure evidence tied to
@@ -1271,7 +1235,7 @@ func (s *Server) rotate(u phl.UserID, st *userState, t int64, zone string, tc ob
 	}
 	st.sessions = make(map[int]*generalize.Session)
 	st.atRisk = false
-	s.Counters.Inc("unlinkings")
+	s.Counters.inc(evUnlinkings)
 	// Rotations are rare, so rendering the trace id here (rather than on
 	// the request hot path) costs nothing per request.
 	var tid string
@@ -1431,9 +1395,9 @@ func (s *Server) DeliverResponse(resp *wire.Response) {
 		inbox = s.inboxes[u]
 	}
 	s.respMu.Unlock()
-	s.Counters.Inc("responses")
+	s.Counters.inc(evResponses)
 	if !ok {
-		s.Counters.Inc("responses_unroutable")
+		s.Counters.inc(evResponsesUnroutable)
 	}
 	// Deliver outside the lock: inboxes are user code.
 	if inbox != nil {

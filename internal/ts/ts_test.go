@@ -386,8 +386,8 @@ func TestCountersProgress(t *testing.T) {
 	if s.Counters.Get("generalized") != 4 {
 		t.Fatalf("generalized=%d", s.Counters.Get("generalized"))
 	}
-	if s.AreaM2.N() != 4 {
-		t.Fatalf("area samples=%d", s.AreaM2.N())
+	if got := s.Obs.GenAreaM2.Count(); got != 4 {
+		t.Fatalf("area samples=%d", got)
 	}
 }
 

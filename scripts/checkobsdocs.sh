@@ -7,8 +7,11 @@
 # tail-sampling keep reason declared in internal/obs/trace.go — plus
 # the privacy-SLO surface: every /v1/slo and /healthz-SLO JSON field
 # declared in internal/httpapi/slo.go and every canary probe field
-# declared in internal/slo/canary.go. CI runs it in the docs job, so
-# adding a metric or field without documenting it fails the build.
+# declared in internal/slo/canary.go — and holds the
+# histanon_ts_events_total event table equal to the event list in
+# internal/ts/events.go, in both directions. CI runs it in the docs job,
+# so adding a metric, field or event without documenting it (or
+# documenting an event the server does not count) fails the build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,6 +69,30 @@ for field in $(grep -o 'json:"[a-zA-Z0-9_]*' internal/httpapi/slo.go internal/sl
     fi
 done
 
+# The trusted-server events: every name in internal/ts's eventNames has
+# a row in the histanon_ts_events_total event table, and every row names
+# one of them.
+events=$(sed -n '/^var eventNames/,/^}/p' internal/ts/events.go | grep -o '"[a-z_]*"' | tr -d '"' | sort)
+rows=$(awk '/^### `histanon_ts_events_total` event values/{on=1; next} on && /^#/{exit}
+             on && /^\|-/{body=1; next} body && /^\|/' "$doc" |
+       grep -o '^| `[a-z_]*` |' | sed 's/^| `//;s/` |$//' | sort)
+if [ -z "$events" ] || [ -z "$rows" ]; then
+    echo "no trusted-server events found in internal/ts/events.go or $doc" >&2
+    fail=1
+fi
+for ev in $events; do
+    if ! printf '%s\n' "$rows" | grep -qx "$ev"; then
+        echo "event $ev has no row in $doc's histanon_ts_events_total table" >&2
+        fail=1
+    fi
+done
+for row in $rows; do
+    if ! printf '%s\n' "$events" | grep -qx "$row"; then
+        echo "$doc's histanon_ts_events_total table documents $row, which internal/ts does not count" >&2
+        fail=1
+    fi
+done
+
 # The burn-rate state machine's degraded reasons and audit kind must
 # keep their documented names.
 for token in 'slo_warning:' 'slo_page:' 'canary_stale' 'kind="slo"'; do
@@ -76,6 +103,6 @@ for token in 'slo_warning:' 'slo_page:' 'canary_stale' 'kind="slo"'; do
 done
 
 if [ "$fail" = 0 ]; then
-    echo "checkobsdocs: $doc covers all metrics, audit fields, stages, span fields, keep reasons and the SLO surface"
+    echo "checkobsdocs: $doc covers all metrics, audit fields, stages, span fields, keep reasons, TS events and the SLO surface"
 fi
 exit "$fail"
