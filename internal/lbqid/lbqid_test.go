@@ -2,6 +2,7 @@ package lbqid
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,6 +108,34 @@ func TestParseMultipleBlocks(t *testing.T) {
 	}
 	if len(qs) != 2 || qs[1].Name != "Second" {
 		t.Fatalf("got %d blocks", len(qs))
+	}
+}
+
+// TestParseRetainsNoLines: the names a parsed LBQID keeps are copies,
+// not substrings of the lines the scanner read, so the heap the result
+// holds does not grow with the length of its definition's lines.
+func TestParseRetainsNoLines(t *testing.T) {
+	pad := strings.Repeat(" ", 4096)
+	spec := strings.NewReplacer("{", pad+"{", "time", pad+"time").Replace(example2)
+	const n = 100
+	kept := make([]*LBQID, 0, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		q, err := ParseOne(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, q)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; got > int64(len(pad)) {
+		t.Fatalf("each parsed LBQID holds %d B of heap, more than one %d B line", got, len(pad))
+	}
+	if kept[n-1].Name != "HomeOfficeCommute" || kept[n-1].Elements[1].Name != "AreaOfficeBldg" {
+		t.Fatalf("names changed: %q, %q", kept[n-1].Name, kept[n-1].Elements[1].Name)
 	}
 }
 

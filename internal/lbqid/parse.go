@@ -23,6 +23,8 @@ import (
 //
 // which is the paper's Example 2 verbatim. Blank lines and lines
 // starting with '#' are ignored. Several blocks may follow one another.
+// The names the result keeps are copies, so it holds none of the lines
+// it was parsed from.
 func Parse(r io.Reader) ([]*LBQID, error) {
 	var out []*LBQID
 	var cur *LBQID
@@ -111,7 +113,7 @@ func parseHeader(line string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("bad lbqid name: %v", err)
 	}
-	return name, nil
+	return strings.Clone(name), nil
 }
 
 func parseElement(line string) (Element, error) {
@@ -123,7 +125,7 @@ func parseElement(line string) (Element, error) {
 		if end < 0 {
 			return e, fmt.Errorf("unterminated element name")
 		}
-		e.Name = rest[1 : 1+end]
+		e.Name = strings.Clone(rest[1 : 1+end])
 		rest = strings.TrimSpace(rest[end+2:])
 	}
 	areaKw := strings.Index(rest, "area")

@@ -30,7 +30,8 @@ type UserID int64
 // calls and view reads may run together (a store's write and read locks
 // give exactly this).
 type History struct {
-	pts []geo.STPoint // sorted by T, ties kept in insertion order
+	pts  []geo.STPoint // sorted by T, ties kept in insertion order
+	last int64         // pts[len(pts)-1].T when pts is non-empty
 
 	view   atomic.Pointer[History] // view of pts handed out since the last Append
 	shared bool                    // a view taken before the last Append may see pts' array
@@ -52,8 +53,9 @@ func (h *History) Append(p geo.STPoint) {
 	if n == cap(h.pts) {
 		h.shared = false // append moves pts to an array no view has seen
 	}
-	if n == 0 || h.pts[n-1].T <= p.T {
+	if n == 0 || h.last <= p.T {
 		h.pts = append(h.pts, p)
+		h.last = p.T
 		return
 	}
 	i := sort.Search(n, func(i int) bool { return h.pts[i].T > p.T })
@@ -79,7 +81,7 @@ func (h *History) View() *History {
 		return v
 	}
 	n := len(h.pts)
-	v := &History{pts: h.pts[:n:n]}
+	v := &History{pts: h.pts[:n:n], last: h.last}
 	if h.view.CompareAndSwap(nil, v) {
 		return v
 	}
@@ -182,7 +184,13 @@ func (h *History) LTConsistent(boxes []geo.STBox) bool {
 // not copied; callers hand over ownership. It exists for storage layers
 // that materialize histories from durable tiers and must reproduce the
 // exact sample order an in-memory History would hold.
-func HistoryFromPoints(pts []geo.STPoint) *History { return &History{pts: pts} }
+func HistoryFromPoints(pts []geo.STPoint) *History {
+	h := &History{pts: pts}
+	if len(pts) > 0 {
+		h.last = pts[len(pts)-1].T
+	}
+	return h
+}
 
 // Sample is one location update: a user and where and when they were.
 // A run of them is the unit batch ingestion hands to a store.

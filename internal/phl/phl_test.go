@@ -257,6 +257,32 @@ func TestHistoryViewIsStable(t *testing.T) {
 	}
 }
 
+// A History built from points appends after its newest one and inserts
+// an older one at its sorted position, without touching a view.
+func TestHistoryFromPointsAppendKeepsOrder(t *testing.T) {
+	h := HistoryFromPoints([]geo.STPoint{pt(0, 0, 10), pt(0, 0, 20), pt(0, 0, 30)})
+	v := h.View()
+	h.Append(pt(1, 0, 25)) // out of order, after a view
+	h.Append(pt(2, 0, 40))
+	h.Append(pt(3, 0, 35))
+	got := []int64{}
+	for _, p := range h.Points() {
+		got = append(got, p.T)
+	}
+	want := []int64{10, 20, 25, 30, 35, 40}
+	if len(got) != len(want) {
+		t.Fatalf("history times %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("history times %v, want %v", got, want)
+		}
+	}
+	if v.Len() != 3 || v.At(2).T != 30 {
+		t.Fatalf("view changed: %v", v.Points())
+	}
+}
+
 // Views handed out by Store.History can be read while Record keeps
 // appending in order and inserting out of order: a view never changes
 // and, under -race, reading it races with nothing.

@@ -78,10 +78,9 @@ func (b *Brute) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclude map[
 	defer acc.release()
 	b.mu.RLock()
 	for _, e := range b.entries {
-		if exclude[e.User] {
-			continue
+		if d := m.Dist(e.Point, q); acc.admits(d) && !exclude[e.User] {
+			acc.offer(e, d)
 		}
-		acc.offer(e, m.Dist(e.Point, q))
 	}
 	b.mu.RUnlock()
 	return acc.result()

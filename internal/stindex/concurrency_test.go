@@ -14,14 +14,34 @@ import (
 // insert while readers run all three query primitives. Run under
 // `go test -race` this verifies the package's concurrency contract;
 // after the writers join, a final pass verifies nothing was lost.
+//
+// Odd writers also introduce brand-new users (through InsertBatch where
+// the index has it), so readers race the grid's id table. A new user's
+// samples have T = newUserT(X), and readers check that every result
+// names an inserted user and carries a sample's exact time.
 func TestConcurrentInsertAndQuery(t *testing.T) {
 	const (
 		writers       = 4
 		readers       = 4
 		perWriter     = 800
 		users         = 50
+		newPerWriter  = 40 // brand-new users per odd writer
 		queriesPerRdr = 200
 	)
+	newUser := func(w, i int) phl.UserID { return phl.UserID(1000*(w+1) + i%newPerWriter) }
+	newUserT := func(x float64) int64 { return int64(x * 3.6) } // [0, 7200) over the extent
+	inserted := func(u phl.UserID) bool {
+		w, i := int(u)/1000-1, int(u)%1000
+		return (u >= 0 && u < users) || (w%2 == 1 && w < writers && i < newPerWriter)
+	}
+	// known reports whether up names an inserted user at a time its
+	// samples have: exactly newUserT(X) for a new user.
+	known := func(up UserPoint) bool {
+		if up.User < users {
+			return inserted(up.User) && up.Point.T >= 0 && up.Point.T < 7200
+		}
+		return inserted(up.User) && up.Point.T == newUserT(up.Point.P.X)
+	}
 	for name, mk := range allIndexes() {
 		t.Run(name, func(t *testing.T) {
 			idx := mk()
@@ -32,17 +52,21 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
-				go func(seed int64) {
+				go func(w int) {
 					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
+					rng := rand.New(rand.NewSource(int64(100 + w)))
 					// Odd writers send runs of 32 through InsertBatch
-					// where the index has it, reusing the run's slice.
+					// where the index has it, reusing the run's slice,
+					// and give every other sample to a new user.
 					batcher, _ := idx.(interface{ InsertBatch([]phl.Sample) })
 					var run []phl.Sample
 					for i := 0; i < perWriter; i++ {
 						u := phl.UserID(rng.Intn(users))
 						p := pt(rng.Float64()*2000, rng.Float64()*2000, int64(rng.Intn(7200)))
-						if batcher == nil || seed%2 == 0 {
+						if w%2 == 1 && i%2 == 0 {
+							u, p.T = newUser(w, i/2), newUserT(p.P.X)
+						}
+						if batcher == nil || w%2 == 0 {
 							idx.Insert(u, p)
 							continue
 						}
@@ -52,7 +76,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 							run = run[:0]
 						}
 					}
-				}(int64(100 + w))
+				}(w)
 			}
 			for r := 0; r < readers; r++ {
 				wg.Add(1)
@@ -62,26 +86,31 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 					m := geo.STMetric{TimeScale: 1}
 					for i := 0; i < queriesPerRdr; i++ {
 						q := pt(rng.Float64()*2000, rng.Float64()*2000, int64(rng.Intn(7200)))
+						box := geo.STBox{
+							Area: rect(q.P.X-300, q.P.Y-300, q.P.X+300, q.P.Y+300),
+							Time: iv(q.T-900, q.T+900),
+						}
 						switch i % 3 {
 						case 0:
 							got := idx.KNearestUsers(q, 1+rng.Intn(8), m, nil)
-							for j := 1; j < len(got); j++ {
-								if m.Dist(got[j-1].Point, q) > m.Dist(got[j].Point, q)+1e-9 {
+							for j, up := range got {
+								if !known(up) {
+									t.Errorf("KNearestUsers returned %v, not an inserted sample", up)
+									return
+								}
+								if j > 0 && m.Dist(got[j-1].Point, q) > m.Dist(up.Point, q)+1e-9 {
 									t.Errorf("KNearestUsers result not sorted at %d", j)
 									return
 								}
 							}
 						case 1:
-							box := geo.STBox{
-								Area: rect(q.P.X-300, q.P.Y-300, q.P.X+300, q.P.Y+300),
-								Time: iv(q.T-900, q.T+900),
+							for _, u := range idx.UsersInBox(box) {
+								if !inserted(u) {
+									t.Errorf("UsersInBox returned %v, never inserted", u)
+									return
+								}
 							}
-							idx.UsersInBox(box)
 						default:
-							box := geo.STBox{
-								Area: rect(q.P.X-300, q.P.Y-300, q.P.X+300, q.P.Y+300),
-								Time: iv(q.T-900, q.T+900),
-							}
 							idx.CountUsersInBox(box)
 						}
 					}
@@ -93,11 +122,17 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 			if got := idx.Len(); got != want {
 				t.Fatalf("Len=%d after concurrent inserts, want %d", got, want)
 			}
-			// Quiescent correctness: the index must now agree with a brute
-			// replay of the same inserts on the full-population query.
-			all := idx.KNearestUsers(pt(1000, 1000, 3600), users+5, geo.STMetric{TimeScale: 1}, nil)
-			if len(all) != users {
-				t.Fatalf("distinct users after join = %d, want %d", len(all), users)
+			// Quiescent correctness: every user, old and new, must now be
+			// found by the full-population query.
+			wantUsers := users + writers/2*newPerWriter
+			all := idx.KNearestUsers(pt(1000, 1000, 3600), wantUsers+5, geo.STMetric{TimeScale: 1}, nil)
+			if len(all) != wantUsers {
+				t.Fatalf("distinct users after join = %d, want %d", len(all), wantUsers)
+			}
+			for _, up := range all {
+				if !known(up) {
+					t.Fatalf("after join: %v is not an inserted sample", up)
+				}
 			}
 		})
 	}

@@ -178,8 +178,8 @@ func (s *kdSearch) visit(n *kdNode, depth int) {
 	if n == nil {
 		return
 	}
-	if !s.exclude[n.entry.User] {
-		s.acc.offer(n.entry, s.m.Dist(n.entry.Point, s.q))
+	if d := s.m.Dist(n.entry.Point, s.q); s.acc.admits(d) && !s.exclude[n.entry.User] {
+		s.acc.offer(n.entry, d)
 	}
 	axis := depth % 3
 	qc := coord(s.q, axis)

@@ -315,10 +315,9 @@ func (t *RTree) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclude map[
 		}
 		if cur.node.leaf {
 			for _, e := range cur.node.entries {
-				if exclude[e.User] {
-					continue
+				if d := m.Dist(e.Point, q); acc.admits(d) && !exclude[e.User] {
+					acc.offer(e, d)
 				}
-				acc.offer(e, m.Dist(e.Point, q))
 			}
 			continue
 		}

@@ -24,8 +24,8 @@
 //
 // A query that races an Insert may or may not observe the in-flight
 // sample; it always observes every sample whose Insert returned before
-// the query began (for Grid, see the best-effort caveat on
-// Grid.KNearestUsers). For Algorithm 1 this raciness is conservative:
+// the query began (for Grid, see the best-effort caveat on the Grid
+// type). For Algorithm 1 this raciness is conservative:
 // missing a just-inserted nearby witness can only select a farther one,
 // enlarging the anonymity box.
 package stindex
@@ -88,6 +88,17 @@ type nearestCand struct {
 	dist float64
 }
 
+// knnScanMax is the largest k whose accumulator finds a user's heap
+// slot by scanning the heap rather than through a map. Over the grid of
+// perfbench's requests workload (701,235 samples, 2-vCPU host),
+// scanning wins through k = 64 (22.5 µs per query at k = 64 against
+// 29.0), breaks even near 128 and loses from about 192. That sweep of k
+// is synthetic: no benchmark workload asks for k > 64 (perfbench uses 4
+// and 24, the experiments 2–20), so the map side and this crossover are
+// unverified end to end. The map side stays because a policy may set
+// any k ≥ 1, and a scan costs O(k) per admitted sample.
+const knnScanMax = 64
+
 // knnAcc accumulates per-user nearest candidates during a KNearestUsers
 // query. It maintains, incrementally, a max-heap of the k users whose
 // current per-user best distance is smallest, so
@@ -98,17 +109,20 @@ type nearestCand struct {
 //   - each Offer costs O(log k) only when it changes the top-k set.
 //
 // Invariant: heap holds exactly the min(k, distinct-users-seen) users
-// with the smallest per-user best distances; pos maps each heap member
-// to its slot. A user outside a full heap therefore has a best distance
-// ≥ heap[0].dist, so any sample closer than heap[0].dist is
-// automatically an improvement — no per-user best map is needed.
+// with the smallest per-user best distances. A user outside a full heap
+// therefore has a best distance ≥ heap[0].dist, so any sample closer
+// than heap[0].dist is automatically an improvement — no per-user best
+// map is needed — and any sample at least that far changes nothing
+// (admits). For k > knnScanMax, pos maps each heap member to its slot;
+// a smaller heap is scanned instead.
 //
 // Accumulators are pooled: queries are hot (one per Algorithm 1 call)
 // and the maps/slices dominate the allocation profile otherwise.
 type knnAcc struct {
-	k    int
-	heap []nearestCand      // max-heap over the k smallest per-user dists
-	pos  map[phl.UserID]int // heap slot by user, heap members only
+	k       int
+	heap    []nearestCand      // max-heap over the k smallest per-user dists
+	indexed bool               // pos tracks the heap (k > knnScanMax)
+	pos     map[phl.UserID]int // heap slot by user, heap members only
 }
 
 var knnAccPool = sync.Pool{New: func() interface{} {
@@ -119,6 +133,7 @@ var knnAccPool = sync.Pool{New: func() interface{} {
 func getKNNAcc(k int) *knnAcc {
 	a := knnAccPool.Get().(*knnAcc)
 	a.k = k
+	a.indexed = k > knnScanMax
 	return a
 }
 
@@ -138,81 +153,111 @@ func (a *knnAcc) bound() float64 {
 	return a.heap[0].dist
 }
 
-// offer considers one sample at distance d from the query.
+// admits reports whether a sample at distance d can change the result.
+// Indexes test it before looking up the sample's user anywhere.
+func (a *knnAcc) admits(d float64) bool {
+	return len(a.heap) < a.k || d < a.heap[0].dist
+}
+
+// slot returns the heap slot of user u, or -1 when u is not a member.
+func (a *knnAcc) slot(u phl.UserID) int {
+	if a.indexed {
+		if i, ok := a.pos[u]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range a.heap {
+		if a.heap[i].up.User == u {
+			return i
+		}
+	}
+	return -1
+}
+
+// offer considers one sample at distance d from the query; admits(d)
+// must hold.
 func (a *knnAcc) offer(up UserPoint, d float64) {
-	if i, ok := a.pos[up.User]; ok {
+	c := nearestCand{up: up, dist: d}
+	if i := a.slot(up.User); i >= 0 {
 		// Already a top-k member: only an improvement matters, and it
 		// keeps the user in the top-k (its best got smaller).
 		if d < a.heap[i].dist {
-			a.heap[i] = nearestCand{up: up, dist: d}
-			a.siftDown(i)
+			a.siftDown(i, c)
 		}
 		return
 	}
 	if len(a.heap) < a.k {
 		// Heap not full ⇒ every user seen so far is a member ⇒ up.User is
 		// new: push it.
-		a.heap = append(a.heap, nearestCand{up: up, dist: d})
-		a.pos[up.User] = len(a.heap) - 1
-		a.siftUp(len(a.heap) - 1)
+		a.heap = append(a.heap, c)
+		a.siftUp(len(a.heap)-1, c)
 		return
 	}
-	if d < a.heap[0].dist {
-		// A non-member's best is ≥ heap[0].dist, so d improves it into the
-		// top-k; the previous k-th best falls out.
+	// A non-member's best is ≥ heap[0].dist > d, so d improves it into
+	// the top-k; the previous k-th best falls out.
+	if a.indexed {
 		delete(a.pos, a.heap[0].up.User)
-		a.heap[0] = nearestCand{up: up, dist: d}
-		a.pos[up.User] = 0
-		a.siftDown(0)
+	}
+	a.siftDown(0, c)
+}
+
+// set stores c in slot i.
+func (a *knnAcc) set(i int, c nearestCand) {
+	a.heap[i] = c
+	if a.indexed {
+		a.pos[c.up.User] = i
 	}
 }
 
-func (a *knnAcc) swap(i, j int) {
-	a.heap[i], a.heap[j] = a.heap[j], a.heap[i]
-	a.pos[a.heap[i].up.User] = i
-	a.pos[a.heap[j].up.User] = j
-}
-
-func (a *knnAcc) siftUp(i int) {
+// siftUp places c, the new occupant of slot i, moving larger parents
+// down into the hole; each moved candidate is stored once.
+func (a *knnAcc) siftUp(i int, c nearestCand) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if a.heap[parent].dist >= a.heap[i].dist {
-			return
+		if a.heap[parent].dist >= c.dist {
+			break
 		}
-		a.swap(i, parent)
+		a.set(i, a.heap[parent])
 		i = parent
 	}
+	a.set(i, c)
 }
 
-func (a *knnAcc) siftDown(i int) {
+// siftDown places c, the new occupant of slot i, moving larger
+// children up into the hole; each moved candidate is stored once.
+func (a *knnAcc) siftDown(i int, c nearestCand) {
 	n := len(a.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && a.heap[l].dist > a.heap[big].dist {
-			big = l
+		big, bigDist := -1, c.dist
+		if l < n && a.heap[l].dist > bigDist {
+			big, bigDist = l, a.heap[l].dist
 		}
-		if r < n && a.heap[r].dist > a.heap[big].dist {
+		if r < n && a.heap[r].dist > bigDist {
 			big = r
 		}
-		if big == i {
-			return
+		if big < 0 {
+			break
 		}
-		a.swap(i, big)
+		a.set(i, a.heap[big])
 		i = big
 	}
+	a.set(i, c)
 }
 
 // result extracts the accumulated users ordered by increasing distance.
 // It consumes the heap; release the accumulator afterwards.
 func (a *knnAcc) result() []UserPoint {
+	a.indexed = false // the heap is consumed; pos is cleared on release
 	out := make([]UserPoint, len(a.heap))
 	for i := len(a.heap) - 1; i >= 0; i-- {
 		out[i] = a.heap[0].up
-		last := len(a.heap) - 1
-		a.swap(0, last)
-		a.heap = a.heap[:last]
-		a.siftDown(0)
+		last := a.heap[i]
+		a.heap = a.heap[:i]
+		if i > 0 {
+			a.siftDown(0, last)
+		}
 	}
 	return out
 }

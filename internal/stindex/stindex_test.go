@@ -151,6 +151,63 @@ func TestKNearestUsersMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestKNearestUsersMatchesSortReference checks every index against a
+// reference that shares no code with knnAcc: each user's closest sample
+// kept in a map, then sorted. k runs on both sides of knnScanMax, so
+// both the scanned heap and the indexed one churn through thousands of
+// offers.
+func TestKNearestUsersMatchesSortReference(t *testing.T) {
+	const users = 300
+	type sample struct {
+		u phl.UserID
+		p geo.STPoint
+	}
+	rng := rand.New(rand.NewSource(23))
+	data := make([]sample, 6000)
+	for i := range data {
+		data[i] = sample{phl.UserID(rng.Intn(users)), pt(rng.Float64()*10000, rng.Float64()*10000, int64(rng.Intn(7*86400)))}
+	}
+	m := geo.STMetric{TimeScale: 0.5}
+	exclude := map[phl.UserID]bool{3: true, 150: true}
+	reference := func(q geo.STPoint, k int) []UserPoint {
+		best := map[phl.UserID]UserPoint{}
+		for _, s := range data {
+			if b, ok := best[s.u]; !exclude[s.u] && (!ok || m.Dist(s.p, q) < m.Dist(b.Point, q)) {
+				best[s.u] = UserPoint{User: s.u, Point: s.p}
+			}
+		}
+		out := make([]UserPoint, 0, len(best))
+		for _, up := range best {
+			out = append(out, up)
+		}
+		sort.Slice(out, func(i, j int) bool { return m.Dist(out[i].Point, q) < m.Dist(out[j].Point, q) })
+		return out[:min(k, len(out))]
+	}
+	for name, mk := range allIndexes() {
+		idx := mk()
+		for _, s := range data {
+			idx.Insert(s.u, s.p)
+		}
+		for _, k := range []int{1, 7, knnScanMax, knnScanMax + 1, 3 * knnScanMax, users} {
+			for trial := 0; trial < 4; trial++ {
+				q := pt(rng.Float64()*10000, rng.Float64()*10000, int64(rng.Intn(7*86400)))
+				if got, want := idx.KNearestUsers(q, k, m, exclude), reference(q, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d: got %d users, want %d; first difference at %d", name, k, len(got), len(want), firstDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []UserPoint) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
 func TestKNearestFewerUsersThanK(t *testing.T) {
 	for name, mk := range allIndexes() {
 		idx := mk()
@@ -229,12 +286,20 @@ func TestGridNegativeCoordinates(t *testing.T) {
 }
 
 func TestGridPanicsOnBadDimensions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewGrid(0, 300)
+	for _, c := range []struct {
+		cell   float64
+		bucket int64
+	}{{0, 300}, {100, 0}, {100, math.MaxUint32 + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewGrid(%v, %d): expected panic", c.cell, c.bucket)
+				}
+			}()
+			NewGrid(c.cell, c.bucket)
+		}()
+	}
+	NewGrid(100, math.MaxUint32) // the largest bucket an entry's offset can hold
 }
 
 func TestLen(t *testing.T) {
@@ -311,8 +376,8 @@ func TestGridKNearestAllUsersFast(t *testing.T) {
 
 // TestGridInsertBatchMatchesInsert: a grid fed runs through InsertBatch
 // holds exactly what one fed the same samples through Insert holds —
-// every cell's samples in arrival order, the user set, the count and
-// the populated bounds.
+// every cell's samples in arrival order, the id table, the sample and
+// cell counts and the populated bounds.
 func TestGridInsertBatchMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	samples := make([]phl.Sample, 5000)
@@ -339,10 +404,120 @@ func TestGridInsertBatchMatchesInsert(t *testing.T) {
 			t.Fatalf("shard %d cells differ", i)
 		}
 	}
-	if !reflect.DeepEqual(single.users, batched.users) || single.n != batched.n ||
-		single.min != batched.min || single.max != batched.max {
-		t.Fatalf("bookkeeping differs: n %d/%d, min %v/%v, max %v/%v, users %d/%d",
-			single.n, batched.n, single.min, batched.min, single.max, batched.max,
-			len(single.users), len(batched.users))
+	if !reflect.DeepEqual(single.meta, batched.meta) || !reflect.DeepEqual(single.index, batched.index) {
+		t.Fatalf("bookkeeping differs: %+v / %+v", single.meta, batched.meta)
+	}
+}
+
+// TestGridKNearestFarOutlier: while fewer than k users are known the
+// shell walk cannot prune, so a k-th user far away in space or time
+// would make it look up every cell of a cube that reaches them — at
+// 1,000 km or a year, over half an hour of empty cells. The walk must
+// give way to a sweep of the populated cells, both when they are few
+// and when five users' histories populate thousands of them.
+func TestGridKNearestFarOutlier(t *testing.T) {
+	m := geo.STMetric{TimeScale: 1}
+	q := pt(0, 0, 0)
+	exclude := map[phl.UserID]bool{1: true} // the issuer
+	for _, c := range []struct {
+		name    string
+		far     geo.STPoint
+		samples int // per nearby user
+	}{
+		{"space", pt(1e6, 0, 0), 1},
+		{"time", pt(0, 0, 365*86400), 1},
+		{"space/crowd", pt(1e6, 0, 0), 1500},
+		{"time/crowd", pt(0, 0, 365*86400), 1500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, ref := NewGrid(500, 900), NewBrute()
+			rng := rand.New(rand.NewSource(19))
+			for u := 1; u <= 5; u++ {
+				for i := 0; i < c.samples; i++ {
+					p := pt(float64(u)*100, float64(u)*50, int64(u)*60)
+					if i > 0 {
+						p = pt(rng.Float64()*20000-10000, rng.Float64()*20000-10000, int64(rng.Intn(86400)))
+					}
+					g.Insert(phl.UserID(u), p)
+					ref.Insert(phl.UserID(u), p)
+				}
+			}
+			g.Insert(6, c.far)
+			ref.Insert(6, c.far)
+			if c.samples > 1 && g.meta.cells < 5000 {
+				t.Fatalf("the crowd populates only %d cells", g.meta.cells)
+			}
+			done := make(chan []UserPoint, 1)
+			go func() { done <- g.KNearestUsers(q, 5, m, exclude) }()
+			var got []UserPoint
+			select {
+			case got = <-done:
+			case <-time.After(time.Second):
+				t.Fatal("KNearestUsers with a far k-th user did not answer within a second")
+			}
+			if want := ref.KNearestUsers(q, 5, m, exclude); !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %v, want %v", got, want)
+			}
+			if got[4].User != 6 {
+				t.Fatalf("the far user is not the 5th nearest: %v", got)
+			}
+		})
+	}
+}
+
+// TestGridKNearestSweepTiesFollowWalk: when the walk gives way to a
+// sweep, and when k reaches the population so that only the sweep runs,
+// cells are taken in the walk's order. Of two samples at exactly equal
+// distance the walk's first one wins, whatever order the cell map
+// iterates in: between two users, and between one user's two samples.
+func TestGridKNearestSweepTiesFollowWalk(t *testing.T) {
+	m := geo.STMetric{TimeScale: 1}
+	q := pt(250, 250, 450)
+	east, west := pt(1250, 250, 450), pt(-750, 250, 450) // shell 2; west is walked first
+	far := pt(250, 250, 9e6)
+	for i := 0; i < 20; i++ {
+		g := NewGrid(500, 900)
+		g.Insert(1, east)
+		g.Insert(2, west)
+		g.Insert(3, far)
+		if got := g.KNearestUsers(q, 1, m, nil); len(got) != 1 || got[0].User != 2 {
+			t.Fatalf("run %d: got %v, want user 2, the walk's first of the tie", i, got)
+		}
+		g = NewGrid(500, 900)
+		g.Insert(1, east)
+		g.Insert(1, west)
+		g.Insert(2, far)
+		if got := g.KNearestUsers(q, 2, m, nil); len(got) != 2 || got[0].Point != west {
+			t.Fatalf("run %d: got %v, want user 1 at %v, the walk's first of the tie", i, got, west)
+		}
+	}
+}
+
+// TestGridKNearestAllocBudget pins the pooled accumulator: a grid KNN
+// allocates only its result slice, on the shell walk with a scanned
+// and an indexed heap, on the walk that finishes with a sweep and on
+// the all-users sweep.
+func TestGridKNearestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const users = 400
+	g := NewGrid(500, 1800)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		g.Insert(phl.UserID(rng.Intn(users)), pt(rng.Float64()*8000, rng.Float64()*8000, int64(rng.Intn(14*24*3600))))
+	}
+	g.Insert(users, pt(1e6, 0, 0))
+	m := geo.STMetric{TimeScale: 1}
+	exclude := map[phl.UserID]bool{7: true}
+	for _, k := range []int{5, knnScanMax + 8, users, users + 2} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		allocs := testing.AllocsPerRun(200, func() {
+			q := pt(rng.Float64()*8000, rng.Float64()*8000, int64(rng.Intn(14*24*3600)))
+			g.KNearestUsers(q, k, m, exclude)
+		})
+		if allocs != 1 {
+			t.Errorf("k=%d: KNearestUsers allocates %v times per query, want 1 (the result)", k, allocs)
+		}
 	}
 }
