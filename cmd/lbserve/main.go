@@ -25,9 +25,11 @@
 //
 // Resilience (see DESIGN.md §9): SP delivery runs through a bounded
 // async queue with retries and per-service circuit breaking; overload
-// is shed with 503s; the PHL is snapshotted periodically and on
-// SIGINT/SIGTERM. When delivery cannot be guaranteed the server fails
-// closed — requests are suppressed, never forwarded less generalized.
+// is shed with 503s. With -wal-dir the PHL lives in the durable tiered
+// store and boot recovers it; without it the PHL is in memory only and
+// a restart starts empty. When delivery cannot be guaranteed the server
+// fails closed — requests are suppressed, never forwarded less
+// generalized.
 package main
 
 import (
@@ -58,13 +60,11 @@ func main() {
 		randomize  = flag.Int64("randomize", 0, "seed for the randomization defense (0 = off)")
 		policyFile = flag.String("policies", "", "rule-based policy file (see internal/policy)")
 		printFwd   = flag.Bool("print-forwarded", false, "log every request forwarded to the SP side")
-		snapshot   = flag.String("snapshot", "", "PHL snapshot file: loaded at boot, written every -snapshot-interval and on SIGINT/SIGTERM")
 
 		walDir    = flag.String("wal-dir", "", "durable tiered PHL storage directory: write-ahead log + incremental snapshots + cold tier; boot recovers the PHL from it (see DESIGN.md §12)")
-		walFsync  = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (group commit, default: an update is acknowledged once an fsync covering it completes; one fsync covers a /v1/batch run of location frames and every record written while the previous fsync was in flight), always (the same group commit as batch), none (fsync only on rotation/shutdown)")
+		walFsync  = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (group commit, default: an update is acknowledged once an fsync covering it completes; one fsync covers a /v1/batch run of location frames and every record written while the previous fsync was in flight), none (fsync only on rotation/shutdown)")
 		hotWindow = flag.Duration("hot-window", time.Hour, "how much recent history stays in memory; older samples demote to on-disk runs (needs -wal-dir)")
 		coldCache = flag.Int("cold-cache-entries", 1024, "LRU cache capacity for cold-tier run reads (needs -wal-dir)")
-		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "periodic PHL snapshot period (needs -snapshot)")
 		sample    = flag.Float64("trace-sample", 0.01, "fraction of requests to trace into /v1/spans and the stage histograms (0 = off, 1 = all)")
 		traceBuf  = flag.Int("trace-buffer", obs.DefaultRingSize, "span ring-buffer capacity")
 		tailSlow  = flag.Duration("trace-tail-slow", 0, "tail-sampling slow threshold: completed spans at least this slow are retained even when head sampling missed them (0 = off)")
@@ -225,25 +225,6 @@ func main() {
 	// request it processes (queue wait, attempts, retries).
 	outbox.SetSpanSink(srv.Obs)
 
-	var snap *resilience.Snapshotter
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			if err := srv.RestorePHL(f); err != nil {
-				f.Close()
-				log.Fatalf("lbserve: restoring %s: %v", *snapshot, err)
-			}
-			f.Close()
-			log.Printf("restored %d users / %d samples from %s",
-				srv.Store().NumUsers(), srv.Store().NumSamples(), *snapshot)
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("lbserve: %v", err)
-		}
-		snap = resilience.NewSnapshotter(*snapshot, *snapEvery, srv.WritePHLSnapshot)
-		snap.Start()
-		srv.SetSnapshotMetrics(snap.AgeSeconds, snap.Errors)
-		log.Printf("snapshotting %s every %s", *snapshot, snap.Interval())
-	}
-
 	handler := httpapi.New(srv)
 	handler.SetMaxInFlight(*maxInFlight)
 	handler.SetMaxBodyBytes(*maxBody)
@@ -252,11 +233,6 @@ func main() {
 	handler.SetOutbox(outbox)
 	if !*wireBatch {
 		log.Printf("binary wire batch endpoint disabled")
-	}
-	if snap != nil {
-		// Three missed intervals without a successful snapshot marks the
-		// server degraded on /healthz.
-		handler.SetSnapshotAge(snap.AgeSeconds, 3*snap.Interval().Seconds())
 	}
 	if tiered != nil {
 		handler.SetStorage(tiered)
@@ -299,19 +275,11 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigCh
-		// Shutdown order: stop the periodic loop, write the final
-		// snapshot, drain the delivery queue, flush the audit log (the
-		// drain can append drop events), then close the listener.
+		// Shutdown order: stop the canary, drain the delivery queue,
+		// checkpoint the store, flush the audit log (the drain can
+		// append drop events), then close the listener.
 		if canaryStop != nil {
 			close(canaryStop)
-		}
-		if snap != nil {
-			snap.Stop()
-			if err := snap.Save(); err != nil {
-				log.Printf("lbserve: saving snapshot: %v", err)
-			} else {
-				log.Printf("snapshot written to %s", *snapshot)
-			}
 		}
 		outbox.Close()
 		if tiered != nil {

@@ -79,7 +79,6 @@ type SP struct {
 
 	mu        sync.Mutex
 	attempts  int64
-	failures  int64
 	delivered []*wire.Request
 }
 
@@ -114,9 +113,6 @@ func (s *SP) Deliver(req *wire.Request) error {
 		s.clock.Sleep(s.faults.Latency)
 	}
 	if fail {
-		s.mu.Lock()
-		s.failures++
-		s.mu.Unlock()
 		return errInjected
 	}
 	s.mu.Lock()
@@ -140,11 +136,4 @@ func (s *SP) Attempts() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.attempts
-}
-
-// Failures returns how many attempts the schedule failed.
-func (s *SP) Failures() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failures
 }

@@ -41,6 +41,7 @@ import (
 	"histanon/internal/phl"
 	"histanon/internal/resilience"
 	"histanon/internal/stindex"
+	"histanon/internal/storage"
 	"histanon/internal/tgran"
 	"histanon/internal/ts"
 	"histanon/internal/wire"
@@ -147,9 +148,9 @@ type run struct {
 }
 
 // newRun assembles a trusted server behind a chaos SP for the schedule.
-// When restore is non-nil the PHL is rebuilt from that snapshot first —
-// the crash-recovery path.
-func newRun(t *testing.T, sc schedule, restore *bytes.Buffer) *run {
+// Its PHL lives in st when st is non-nil (the crash-recovery path), in
+// memory otherwise.
+func newRun(t *testing.T, sc schedule, st *storage.TieredStore) *run {
 	t.Helper()
 	r := &run{
 		clock:    chaos.NewClock(time.Unix(0, 0)),
@@ -176,11 +177,17 @@ func newRun(t *testing.T, sc schedule, restore *bytes.Buffer) *run {
 			}},
 		},
 	}
+	if st != nil {
+		cfg.Store = st
+	}
 	if sc.slowIndex {
-		cfg.Index = &chaos.SlowIndex{
-			Inner: stindex.NewGrid(500, 900),
-			Delay: 50 * time.Microsecond,
+		// The tiered store is its own index; a grid beside it would come
+		// back empty after a restart.
+		var inner stindex.Index = stindex.NewGrid(500, 900)
+		if st != nil {
+			inner = st
 		}
+		cfg.Index = &chaos.SlowIndex{Inner: inner, Delay: 50 * time.Microsecond}
 	}
 	r.srv = ts.New(cfg, r.outbox)
 	r.srv.SetNotifier(r.notes)
@@ -189,11 +196,6 @@ func newRun(t *testing.T, sc schedule, restore *bytes.Buffer) *run {
 	// sampler, not head luck, to retain every anomalous trace.
 	r.srv.Obs.Tracer.SetSampleRate(0.001)
 	r.outbox.SetSpanSink(r.srv.Obs)
-	if restore != nil {
-		if err := r.srv.RestorePHL(bytes.NewReader(restore.Bytes())); err != nil {
-			t.Fatalf("RestorePHL: %v", err)
-		}
-	}
 	if err := r.srv.AddLBQIDSpec(0, commuteLBQID); err != nil {
 		t.Fatal(err)
 	}
@@ -521,10 +523,30 @@ func checkInvariants(t *testing.T, r *run, k int) {
 	}
 }
 
+// openChaosStore opens the restart schedules' durable tiered store on
+// fsys. The options make maintenance and demotion run inside the first
+// half of the workload, so recovery loads cold runs and a snapshot
+// chain as well as replaying the WAL tail.
+func openChaosStore(t *testing.T, fsys *storage.MemFS) *storage.TieredStore {
+	t.Helper()
+	st, _, err := storage.Open(storage.Options{
+		Dir:              "store",
+		FS:               fsys,
+		SnapshotEvery:    16,
+		HotWindow:        60,
+		MaxDeltas:        2,
+		ColdCacheEntries: 8,
+	})
+	if err != nil {
+		t.Fatalf("storage.Open: %v", err)
+	}
+	return st
+}
+
 // TestChaosSchedules runs the invariant suite across 128 seeded fault
 // schedules — SP error rates from 0 to 60%, hard outages, virtual-time
 // latency spikes, tiny queues, slow stores, concurrent load, and
-// mid-run snapshot/restore restarts.
+// mid-run crashes that recover the PHL from the durable tiered store.
 func TestChaosSchedules(t *testing.T) {
 	const seeds = 128
 	for seed := uint64(0); seed < seeds; seed++ {
@@ -538,22 +560,26 @@ func TestChaosSchedules(t *testing.T) {
 				checkInvariants(t, r, 3)
 				return
 			}
-			// Crash-recovery path: run half the workload, snapshot,
-			// "crash", restore into a fresh server, run the rest. Both
-			// instances must satisfy every invariant on their own.
-			r1 := newRun(t, sc, nil)
+			// Crash-recovery path: run half the workload on a durable
+			// tiered store, crash the machine, reopen the store under a
+			// fresh server, run the rest. Both instances must satisfy
+			// every invariant on their own.
+			fsys := storage.NewMemFS()
+			r1 := newRun(t, sc, openChaosStore(t, fsys))
 			r1.workload(sc, 0, 2)
-			var snap bytes.Buffer
-			if err := r1.srv.WritePHLSnapshot(&snap); err != nil {
-				t.Fatalf("WritePHLSnapshot: %v", err)
-			}
 			r1.finish(t)
 			checkInvariants(t, r1, 3)
+			fsys.Crash()
 
-			r2 := newRun(t, sc, &snap)
+			st := openChaosStore(t, fsys)
+			defer st.Close()
+			r2 := newRun(t, sc, st)
 			if r2.srv.Store().NumSamples() != r1.srv.Store().NumSamples() {
-				t.Fatalf("restore lost samples: %d != %d",
+				t.Fatalf("recovery lost samples: %d != %d",
 					r2.srv.Store().NumSamples(), r1.srv.Store().NumSamples())
+			}
+			if rec := st.Recovery(); rec.ColdSamples == 0 {
+				t.Fatalf("recovery loaded no cold samples, only a WAL replay: %+v", rec)
 			}
 			r2.workload(sc, 2, 4)
 			r2.finish(t)

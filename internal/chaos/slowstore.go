@@ -7,7 +7,6 @@
 package chaos
 
 import (
-	"sync/atomic"
 	"time"
 
 	"histanon/internal/geo"
@@ -24,13 +23,10 @@ type SlowIndex struct {
 	Inner stindex.Index
 	// Delay is the injected per-query stall.
 	Delay time.Duration
-
-	queries atomic.Int64
 }
 
-// stall sleeps the injected delay and counts the query.
+// stall sleeps the injected delay.
 func (s *SlowIndex) stall() {
-	s.queries.Add(1)
 	if s.Delay > 0 {
 		time.Sleep(s.Delay)
 	}
@@ -60,6 +56,3 @@ func (s *SlowIndex) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclude 
 	s.stall()
 	return s.Inner.KNearestUsers(q, k, m, exclude)
 }
-
-// Queries returns how many delayed queries the index has served.
-func (s *SlowIndex) Queries() int64 { return s.queries.Load() }

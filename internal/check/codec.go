@@ -717,21 +717,3 @@ func splitLines(s string) []string {
 	}
 	return out
 }
-
-// RunCodecDifferential runs one workload through both served encodings
-// sequentially and returns every observable divergence. Empty slice
-// means the binary channel is indistinguishable from the JSON API.
-func RunCodecDifferential(w *CodecWorkload) []Divergence {
-	return diffCodecRuns(runJSONLeg(w, false), runBinaryLeg(w, false))
-}
-
-// RunCodecConcurrent replays the workload with the crowd-formation
-// prefix ingested by one goroutine per user — through per-stream
-// wire.Batchers on the binary leg — then the call phase sequentially.
-// Per-user order is preserved, and tie-free trajectories make the final
-// state independent of cross-user interleaving, so the two legs must
-// still agree exactly. Run under -race: the batcher/handler
-// interleaving is part of what is being tested.
-func RunCodecConcurrent(w *CodecWorkload) []Divergence {
-	return diffCodecRuns(runJSONLeg(w, true), runBinaryLeg(w, true))
-}

@@ -56,7 +56,10 @@ func filterCalls(ops []CodecOp) []CodecOp {
 // TestCodecConcurrent replays workloads with concurrent crowd ingest:
 // the JSON leg posts each user's locations from its own goroutine while
 // the binary leg pushes each user's stream through its own wire.Batcher
-// into POST /v1/batch. Run under -race, the interleaving is the test.
+// into POST /v1/batch. Per-user order is preserved, and tie-free
+// trajectories make the final state independent of cross-user
+// interleaving, so the two legs must still agree exactly. Run under
+// -race, the interleaving is the test.
 func TestCodecConcurrent(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {

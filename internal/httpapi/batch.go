@@ -33,7 +33,9 @@ import (
 // and one group commit. The run is handed over before every
 // service-call frame, so Algorithm 1 sees every location earlier in the
 // batch, and before any error response and the final response: the
-// response acknowledges every location the batch recorded. Service-call
+// response acknowledges every location the batch recorded. A run the
+// durable store could not persist ends the batch with 503
+// (storage_wal_failed) and no later frame is processed. Service-call
 // frames go through the same traced request pipeline as POST
 // /v1/request, including per-frame traceparent propagation.
 
@@ -154,7 +156,10 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			run = append(run, phl.Sample{User: phl.UserID(l.User), Point: l.Point()})
 			locations++
 		case wire.FrameServiceCall:
-			run = h.recordRun(run)
+			if run, err = h.recordRun(run); err != nil {
+				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+				return
+			}
 			c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
 			if err != nil {
 				h.rejectBatch(w, run, err.Error())
@@ -187,7 +192,10 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	run = h.recordRun(run)
+	if run, err = h.recordRun(run); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		return
+	}
 	if err := dec.Err(); err != nil {
 		h.rejectBatch(w, run, err.Error())
 		return
@@ -216,18 +224,22 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // recordRun hands a run of location updates to the server and returns
-// the run emptied for reuse.
-func (h *Handler) recordRun(run []phl.Sample) []phl.Sample {
-	h.srv.RecordLocations(run)
-	return run[:0]
+// the run emptied for reuse, with the server's error when the run was
+// not persisted.
+func (h *Handler) recordRun(run []phl.Sample) ([]phl.Sample, error) {
+	return run[:0], h.srv.RecordLocations(run)
 }
 
 // rejectBatch answers a malformed batch with 400. The locations decoded
 // before the malformed frame are recorded first: frames ahead of a
-// fault have always been accepted.
+// fault have always been accepted, unless the store could not persist
+// them, which answers 503 instead.
 func (h *Handler) rejectBatch(w http.ResponseWriter, run []phl.Sample, msg string) {
-	h.recordRun(run)
 	h.srv.Wire.DecodeErrors.Add(1)
+	if _, err := h.recordRun(run); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		return
+	}
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
 }
 

@@ -160,12 +160,6 @@ type Handler struct {
 	// outbox, when set, contributes delivery-queue and breaker state to
 	// /healthz.
 	outbox *resilience.Outbox
-	// snapshotAge reports seconds since the last durable snapshot (-1 =
-	// never); snapshotStaleAfter is the age beyond which /healthz turns
-	// degraded. Zero-valued when snapshotting is off.
-	snapshotAge        func() float64
-	snapshotStaleAfter float64
-
 	// storage, when set, contributes the durable tiered store's WAL,
 	// tier and recovery state to /healthz.
 	storage *storage.TieredStore
@@ -173,7 +167,7 @@ type Handler struct {
 
 // New returns an http.Handler exposing srv with the default body bound
 // and no admission limit; see SetMaxInFlight, SetMaxBodyBytes,
-// SetOutbox and SetSnapshotAge for the production knobs.
+// SetOutbox and SetStorage for the production knobs.
 func New(srv *ts.Server) *Handler {
 	h := &Handler{srv: srv, mux: http.NewServeMux(), maxBody: DefaultMaxBodyBytes}
 	h.mux.HandleFunc("/v1/location", h.postOnly(h.handleLocation))
@@ -215,15 +209,6 @@ func (h *Handler) SetMaxBodyBytes(n int64) {
 // depth, drops, per-service breaker states). Configure before serving
 // traffic.
 func (h *Handler) SetOutbox(o *resilience.Outbox) { h.outbox = o }
-
-// SetSnapshotAge wires snapshot durability into /healthz: age reports
-// seconds since the last successful snapshot (-1 = never), and ages
-// beyond staleAfter mark the server degraded. Configure before serving
-// traffic.
-func (h *Handler) SetSnapshotAge(age func() float64, staleAfter float64) {
-	h.snapshotAge = age
-	h.snapshotStaleAfter = staleAfter
-}
 
 // SetStorage wires the durable tiered PHL store into /healthz: WAL
 // health (a failed WAL suppresses every request and marks the server
@@ -366,7 +351,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // HealthResponse is the body of GET /healthz: the server's real
 // operational state, not a bare liveness ping. Status is "ok" or
 // "degraded"; Degraded lists the reasons (open breakers, saturated
-// delivery queue, saturated admission, stale snapshot).
+// delivery queue, saturated admission, a failed WAL, SLO alerts).
 type HealthResponse struct {
 	Status   string   `json:"status"`
 	Degraded []string `json:"degraded,omitempty"`
@@ -377,9 +362,6 @@ type HealthResponse struct {
 	ShedTotal   int64 `json:"shedTotal,omitempty"`
 	// Outbox describes the async SP delivery queue, when one is wired.
 	Outbox *OutboxHealth `json:"outbox,omitempty"`
-	// SnapshotAgeSeconds is the age of the last durable PHL snapshot
-	// (-1 = none yet); omitted when snapshotting is off.
-	SnapshotAgeSeconds *float64 `json:"snapshotAgeSeconds,omitempty"`
 	// Storage describes the durable tiered PHL store, when one is wired.
 	Storage *StorageHealth `json:"storage,omitempty"`
 	// SLO summarizes the privacy-SLO engine (objective states and canary
@@ -450,13 +432,6 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if h.snapshotAge != nil {
-		age := h.snapshotAge()
-		resp.SnapshotAgeSeconds = &age
-		if h.snapshotStaleAfter > 0 && (age < 0 || age > h.snapshotStaleAfter) {
-			resp.Degraded = append(resp.Degraded, "snapshot_stale")
-		}
-	}
 	if st := h.storage; st != nil {
 		stats := st.Stats()
 		rec := st.Recovery()
@@ -498,9 +473,12 @@ func (h *Handler) handleLocation(w http.ResponseWriter, r *http.Request) {
 	if !h.decode(w, r, &req) {
 		return
 	}
-	h.srv.RecordLocation(phl.UserID(req.User), geo.STPoint{
+	if err := h.srv.RecordLocation(phl.UserID(req.User), geo.STPoint{
 		P: geo.Point{X: req.X, Y: req.Y}, T: req.T,
-	})
+	}); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "recorded"})
 }
 

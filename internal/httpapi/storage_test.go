@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"histanon/internal/geo"
@@ -113,6 +114,63 @@ func TestHealthzStorageSection(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("degraded reasons %v missing storage_wal_failed", hr.Degraded)
+	}
+}
+
+// Once the WAL has failed, a location update is not persisted, so
+// neither endpoint may acknowledge it: both answer 503 naming
+// storage_wal_failed, /v1/batch processes no frame after the run that
+// failed, and /healthz keeps reporting the failure.
+func TestWALFailureRefusesLocationAcks(t *testing.T) {
+	hts, srv, fsys, st := newTieredTestServer(t)
+	fsys.FailSyncs = errors.New("injected fsync failure")
+
+	wantRefused := func(resp *http.Response, what string) {
+		t.Helper()
+		defer resp.Body.Close()
+		var e errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: decoding body: %v", what, err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(e.Error, "storage_wal_failed") {
+			t.Fatalf("%s after a WAL failure: status %d, error %q; want 503 naming storage_wal_failed",
+				what, resp.StatusCode, e.Error)
+		}
+	}
+
+	resp, err := http.Post(hts.URL+"/v1/location", "application/json",
+		strings.NewReader(`{"user":1,"x":10,"y":10,"t":100}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRefused(resp, "/v1/location")
+	if !st.StorageFailed() {
+		t.Fatal("fsync failure did not latch")
+	}
+
+	var frames []byte
+	for i := 0; i < 4; i++ {
+		frames = wire.AppendLocation(frames, wire.LocationUpdate{User: int64(2 + i), X: 20, Y: 20, T: 200 + int64(i)})
+	}
+	frames, err = wire.AppendServiceCall(frames, wire.ServiceCall{User: 2, X: 20, Y: 20, T: 300, Service: "nav"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := wire.AppendBatch(nil, 5, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRefused(postBatch(t, hts.URL, batch, ""), "/v1/batch")
+	if got := srv.Counters.Get("requests"); got != 0 {
+		t.Fatalf("the service call after the failed run was served (%d requests)", got)
+	}
+
+	found := false
+	for _, reason := range getHealth(t, hts.URL).Degraded {
+		found = found || reason == "storage_wal_failed"
+	}
+	if !found {
+		t.Fatal("/healthz no longer reports storage_wal_failed")
 	}
 }
 

@@ -231,10 +231,6 @@ type Plan struct {
 	Fallback bool
 }
 
-// MixSet returns the size of the mixing set the plan provides: the
-// participants plus the issuer.
-func (pl Plan) MixSet() int { return len(pl.Participants) + 1 }
-
 // Plan computes an on-demand mix zone for the issuer at ⟨p,t⟩ with k
 // fellow participants. ok is false when not enough diverging users are
 // available; the zone cannot be formed and the caller should fall back

@@ -53,15 +53,13 @@ const (
 	MetricAuditErrors  = "histanon_audit_errors_total"
 
 	// Resilience-layer families (internal/resilience): the async SP
-	// delivery pipeline, its circuit breakers, HTTP admission control
-	// and snapshot durability.
+	// delivery pipeline, its circuit breakers and HTTP admission
+	// control.
 	MetricResilienceEvents      = "histanon_resilience_events_total"
 	MetricResilienceQueueDepth  = "histanon_resilience_queue_depth"
 	MetricResilienceBreakerOpen = "histanon_resilience_breaker_open"
 	MetricHTTPShed              = "histanon_http_shed_total"
 	MetricHTTPInFlight          = "histanon_http_inflight"
-	MetricSnapshotAge           = "histanon_snapshot_age_seconds"
-	MetricSnapshotErrors        = "histanon_snapshot_errors_total"
 
 	// Binary wire-protocol families (internal/wire via internal/httpapi):
 	// the /v1/batch ingest channel.
@@ -131,7 +129,6 @@ func MetricNames() []string {
 		MetricAuditEvents, MetricAuditErrors,
 		MetricResilienceEvents, MetricResilienceQueueDepth,
 		MetricResilienceBreakerOpen, MetricHTTPShed, MetricHTTPInFlight,
-		MetricSnapshotAge, MetricSnapshotErrors,
 		MetricWireFrames, MetricWireBatches, MetricWireBytes,
 		MetricWireDecodeErrors, MetricWireBatchFrames,
 		MetricStorageWALAppends, MetricStorageWALFsyncs, MetricStorageWALBytes,

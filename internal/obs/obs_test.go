@@ -289,7 +289,7 @@ func TestMetricNamesUniqueAndValid(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	if len(seen) != 58 {
-		t.Fatalf("MetricNames lists %d families, want 58", len(seen))
+	if len(seen) != 56 {
+		t.Fatalf("MetricNames lists %d families, want 56", len(seen))
 	}
 }

@@ -1,24 +1,20 @@
 // Package resilience makes the trusted server fail closed under the
-// faults a deployed anonymizer actually meets: service-provider stalls,
-// service-provider outages, overload, and its own restarts. The paper's
-// privacy guarantee (§3, Fig. 1) depends on the TS sitting between
-// users and service providers; this package guarantees that when the SP
-// side misbehaves, the system degrades toward *less* exposure — a
-// request is suppressed rather than forwarded less generalized, and the
-// anonymity state (the PHL the Def. 8 witnesses are drawn from)
-// survives a crash.
+// faults a deployed anonymizer actually meets on its SP side:
+// service-provider stalls, service-provider outages and overload. The
+// paper's privacy guarantee (§3, Fig. 1) depends on the TS sitting
+// between users and service providers; this package guarantees that
+// when the SP side misbehaves, the system degrades toward *less*
+// exposure — a request is suppressed rather than forwarded less
+// generalized. Keeping the anonymity state (the PHL the Def. 8
+// witnesses are drawn from) across a crash is internal/storage's job.
 //
-// Components:
-//
-//   - Outbox (this file) — a bounded asynchronous delivery queue in
-//     front of the service provider, with per-request deadlines,
-//     exponential backoff + deterministic jitter retries (backoff.go)
-//     and a per-service circuit breaker (breaker.go). Admission is
-//     fail-closed: when the queue is full or the breaker is open,
-//     TryDeliver refuses synchronously and the trusted server records
-//     the request as suppressed (degraded), never forwarded.
-//   - Snapshotter (snapshot.go) — periodic crash-safe PHL snapshots
-//     (atomic temp-file + rename) with a staleness probe for /healthz.
+// The Outbox (this file) is a bounded asynchronous delivery queue in
+// front of the service provider, with per-request deadlines,
+// exponential backoff + deterministic jitter retries (backoff.go) and a
+// per-service circuit breaker (breaker.go). Admission is fail-closed:
+// when the queue is full or the breaker is open, TryDeliver refuses
+// synchronously and the trusted server records the request as
+// suppressed (degraded), never forwarded.
 //
 // Every fault outcome is observable: the Outbox feeds the
 // histanon_resilience_* metric families and writes KindDelivery audit

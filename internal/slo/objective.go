@@ -345,17 +345,7 @@ func (e *Engine) Evaluate(now int64) EvalResult {
 			Burns:     burns,
 		}
 	}
-	e.lastEval.Store(&res)
 	return res
-}
-
-// LastEval returns the most recent evaluation, or a zero-objective
-// result when none has run yet.
-func (e *Engine) LastEval() EvalResult {
-	if p := e.lastEval.Load(); p != nil {
-		return *p
-	}
-	return EvalResult{T: -1}
 }
 
 // State returns the current burn-rate state of the objective bounding

@@ -165,7 +165,6 @@ type Engine struct {
 	objectives []Objective
 	states     []State
 	since      []int64
-	lastEval   atomic.Pointer[EvalResult]
 
 	transitions *metrics.CounterVec // labels: objective, to
 

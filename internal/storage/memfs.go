@@ -230,17 +230,6 @@ func (m *MemFS) Files() []string {
 	return out
 }
 
-// TotalBytes returns the summed visible size of all files.
-func (m *MemFS) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, f := range m.files {
-		n += int64(len(f.data))
-	}
-	return n
-}
-
 func (f *memFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -1121,27 +1120,4 @@ func (t *TieredStore) Stats() Stats {
 		CacheEntries:   t.cache.len(),
 		Failed:         t.walFailed.Load(),
 	}
-}
-
-// WriteSnapshot renders the full PHL in the phl package's flat
-// snapshot format — the operator escape hatch behind the server's
-// WritePHLSnapshot (and the -snapshot flag's restore path). It
-// materializes every history, so prefer Checkpoint for routine
-// durability.
-func (t *TieredStore) WriteSnapshot(w io.Writer) error {
-	faults0 := t.faults.Load()
-	clone := phl.NewStore()
-	for _, u := range t.Users() {
-		h := t.History(u)
-		if h == nil {
-			continue
-		}
-		for _, p := range h.Points() {
-			clone.Record(u, p)
-		}
-	}
-	if t.faults.Load() != faults0 {
-		return fmt.Errorf("storage: cold read errors while materializing snapshot")
-	}
-	return clone.WriteSnapshot(w)
 }

@@ -23,10 +23,6 @@ const (
 	// written while the previous flush was in flight, and over every
 	// record of a run written by one AppendBatch.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways commits exactly as SyncBatch does: Commit does not tell
-	// the two apart, so a record is acknowledged once some fsync
-	// covering it completes, and a run of records is one fsync.
-	SyncAlways
 	// SyncNone never fsyncs from the hot path: durability is bounded
 	// by the OS flush interval. Crash loses the unflushed tail.
 	SyncNone
@@ -37,23 +33,17 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "batch", "":
 		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("storage: unknown fsync policy %q (want batch, always or none)", s)
+	return 0, fmt.Errorf("storage: unknown fsync policy %q (want batch or none)", s)
 }
 
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncNone:
+	if p == SyncNone {
 		return "none"
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
 const (

@@ -320,7 +320,7 @@ func TestWALSegmentGapRefuses(t *testing.T) {
 // returns ErrWALFailed.
 func TestWALFailStop(t *testing.T) {
 	fsys := NewMemFS()
-	w, _ := openWAL(fsys, "wal", SyncAlways, 1<<20, 0, nil)
+	w, _ := openWAL(fsys, "wal", SyncBatch, 1<<20, 0, nil)
 	u, p := testSample(0)
 	seq, err := w.Append(u, p)
 	if err != nil {
@@ -343,7 +343,7 @@ func TestWALFailStop(t *testing.T) {
 }
 
 func TestWALSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncBatch, SyncAlways, SyncNone} {
+	for _, pol := range []SyncPolicy{SyncBatch, SyncNone} {
 		fsys := NewMemFS()
 		w, _ := openWAL(fsys, "wal", pol, 1<<20, 0, nil)
 		for i := 0; i < 10; i++ {
@@ -361,7 +361,7 @@ func TestWALSyncPolicies(t *testing.T) {
 			if got := w.fsyncs.Load(); got != 0 {
 				t.Fatalf("%v: %d fsyncs, want 0", pol, got)
 			}
-		case SyncAlways, SyncBatch:
+		case SyncBatch:
 			// Sequential appends: every commit leads its own group.
 			if got := w.fsyncs.Load(); got == 0 {
 				t.Fatalf("%v: no fsyncs", pol)
@@ -379,7 +379,7 @@ func TestParseSyncPolicy(t *testing.T) {
 	}{
 		{"batch", SyncBatch, false},
 		{"", SyncBatch, false},
-		{"always", SyncAlways, false},
+		{"always", 0, true},
 		{"none", SyncNone, false},
 		{"sometimes", 0, true},
 	} {
@@ -388,7 +388,7 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if SyncBatch.String() != "batch" || SyncAlways.String() != "always" || SyncNone.String() != "none" {
+	if SyncBatch.String() != "batch" || SyncNone.String() != "none" {
 		t.Fatal("SyncPolicy.String mismatch")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"histanon/internal/geo"
 	"histanon/internal/phl"
 	"histanon/internal/storage"
+	"histanon/internal/tgran"
 	"histanon/internal/wire"
 )
 
@@ -191,6 +192,7 @@ func TestServerTieredRestartKeepsPHL(t *testing.T) {
 	fsys := storage.NewMemFS()
 	s, st := tieredServer(t, fsys)
 	storagePopulate(s, rng, 1000, 15)
+	seedCrowd(s, 6, 2)
 	users, samples := st.NumUsers(), st.NumSamples()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -205,5 +207,14 @@ func TestServerTieredRestartKeepsPHL(t *testing.T) {
 	dec := s2.Request(1, geo.STPoint{P: geo.Point{X: 100, Y: 100}, T: 5000}, "svc", nil)
 	if dec.Degraded {
 		t.Fatalf("request degraded after clean restart: %s", dec.DegradedReason)
+	}
+	// The recovered PHL serves generalization at once: the issuer's
+	// witnesses are the crowd recorded before the restart.
+	if err := s2.AddLBQIDSpec(0, commuteLBQID); err != nil {
+		t.Fatal(err)
+	}
+	dec = s2.Request(0, pt(50, 50, at(0, 7*tgran.Hour+600)), "navigation", nil)
+	if !dec.Generalized || !dec.HKAnonymity {
+		t.Fatalf("recovered server must generalize: %+v", dec)
 	}
 }

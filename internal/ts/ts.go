@@ -41,8 +41,8 @@
 package ts
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -256,7 +256,9 @@ type Config struct {
 	// Index, when non-nil, replaces the default grid spatio-temporal
 	// index — the hook the chaos harness uses to inject slow-store
 	// faults, and deployments use to pick another stindex
-	// implementation. The index must be empty at configuration time.
+	// implementation. The index must be empty at configuration time,
+	// unless it indexes the Store's own samples (a wrapper around a
+	// recovered tiered store).
 	Index stindex.Index
 	// Store, when non-nil, replaces the default in-memory PHL store —
 	// the hook the durable tiered store (internal/storage) plugs into.
@@ -412,14 +414,10 @@ type Server struct {
 	regOnce  sync.Once
 	registry *metrics.Registry
 
-	// Hooks feeding the always-registered resilience families for the
-	// layers above the TS: httpapi installs the admission-control
-	// sources (SetHTTPMetrics), lbserve the snapshot-durability ones
-	// (SetSnapshotMetrics). Unset hooks read as zero (age as -1).
+	// Hooks feeding the always-registered admission-control families:
+	// httpapi installs them (SetHTTPMetrics). Unset hooks read as zero.
 	httpShed     atomic.Pointer[func() int64]
 	httpInFlight atomic.Pointer[func() float64]
-	snapAge      atomic.Pointer[func() float64]
-	snapErrors   atomic.Pointer[func() int64]
 }
 
 // SetHTTPMetrics installs the admission-control metric sources: the
@@ -428,14 +426,6 @@ type Server struct {
 func (s *Server) SetHTTPMetrics(shed func() int64, inflight func() float64) {
 	s.httpShed.Store(&shed)
 	s.httpInFlight.Store(&inflight)
-}
-
-// SetSnapshotMetrics installs the snapshot-durability metric sources:
-// seconds since the last successful snapshot (-1 = never) and the
-// snapshot error counter.
-func (s *Server) SetSnapshotMetrics(age func() float64, errs func() int64) {
-	s.snapAge.Store(&age)
-	s.snapErrors.Store(&errs)
 }
 
 // New returns a trusted server delivering to out.
@@ -560,9 +550,8 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 		// The resilience families are always present so the exposition
 		// surface doesn't depend on deployment wiring: a resilience-aware
 		// outbox registers its live series, anything else gets zero
-		// placeholders; the admission-control and snapshot sources are
-		// installed by the layers that own them (SetHTTPMetrics /
-		// SetSnapshotMetrics) and read as zero until then.
+		// placeholders; the admission-control sources are installed by
+		// httpapi (SetHTTPMetrics) and read as zero until then.
 		if src, ok := s.out.(MetricsSource); ok {
 			src.RegisterMetrics(r)
 		} else {
@@ -588,22 +577,6 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 			"HTTP requests currently being served.",
 			nil, func() float64 {
 				if fn := s.httpInFlight.Load(); fn != nil {
-					return (*fn)()
-				}
-				return 0
-			})
-		r.RegisterGaugeFunc(obs.MetricSnapshotAge,
-			"Seconds since the last successful PHL snapshot (-1 = never).",
-			nil, func() float64 {
-				if fn := s.snapAge.Load(); fn != nil {
-					return (*fn)()
-				}
-				return -1
-			})
-		r.RegisterCounterFunc(obs.MetricSnapshotErrors,
-			"PHL snapshot attempts that failed.",
-			nil, func() int64 {
-				if fn := s.snapErrors.Load(); fn != nil {
 					return (*fn)()
 				}
 				return 0
@@ -700,25 +673,31 @@ func (s *Server) AddLBQIDSpec(u phl.UserID, def string) error {
 	return nil
 }
 
+// errStorageFailed is RecordLocations' answer once the durable store's
+// write path has failed: the updates may not be persisted, so they must
+// not be acknowledged.
+var errStorageFailed = errors.New("ts: storage_wal_failed: the durable store's WAL has failed; updates are not persisted")
+
 // RecordLocation ingests a location update that carries no service
-// request (the PHL holds those too — Def. 6 explicitly includes them).
-// It touches no per-user state.
-func (s *Server) RecordLocation(u phl.UserID, p geo.STPoint) {
-	s.store.Record(u, p)
-	s.index.Insert(u, p)
+// request (the PHL holds those too — Def. 6 explicitly includes them):
+// a one-element RecordLocations, with its error.
+func (s *Server) RecordLocation(u phl.UserID, p geo.STPoint) error {
+	return s.RecordLocations([]phl.Sample{{User: u, Point: p}})
 }
 
-// RecordLocations ingests a run of location updates, as RecordLocation
-// would one at a time: one store call and one index call for the whole
-// run when the store and index take runs (BatchStorer, BatchIndex), one
-// call per sample otherwise. On a durable store the run is durable per
-// its sync policy when RecordLocations returns. A request issued after
-// it returns sees the whole run, so a caller interleaving location
-// updates with requests (the /v1/batch handler) hands each run over
-// before the request that follows it.
-func (s *Server) RecordLocations(samples []phl.Sample) {
+// RecordLocations ingests a run of location updates: one store call and
+// one index call for the whole run when the store and index take runs
+// (BatchStorer, BatchIndex), one call per sample otherwise. It touches
+// no per-user state. On a durable store the run is durable per its sync
+// policy when RecordLocations returns nil; the error, which names
+// storage_wal_failed, means the store's write path has failed and the
+// run must not be acknowledged. A request issued after it returns sees
+// the whole run, so a caller interleaving location updates with
+// requests (the /v1/batch handler) hands each run over before the
+// request that follows it.
+func (s *Server) RecordLocations(samples []phl.Sample) error {
 	if len(samples) == 0 {
-		return
+		return nil
 	}
 	if s.batchStore != nil {
 		s.batchStore.RecordBatch(samples)
@@ -734,6 +713,10 @@ func (s *Server) RecordLocations(samples []phl.Sample) {
 			s.index.Insert(x.User, x.Point)
 		}
 	}
+	if s.faulty != nil && s.faulty.StorageFailed() {
+		return errStorageFailed
+	}
+	return nil
 }
 
 // state returns (creating if needed) the user's bookkeeping. It takes
@@ -1311,37 +1294,6 @@ func quietForTheta(theta float64, tr link.Tracking) int64 {
 		return cap
 	}
 	return quiet
-}
-
-// WritePHLSnapshot persists the location database (see phl.WriteSnapshot).
-// LBQID registrations, pseudonyms and in-flight matcher state are not
-// part of the snapshot: patterns are re-registered at boot from their
-// specifications, and exposure state deliberately starts fresh (a
-// restart is an unlinking opportunity, not a liability).
-func (s *Server) WritePHLSnapshot(w io.Writer) error {
-	sw, ok := s.store.(interface{ WriteSnapshot(w io.Writer) error })
-	if !ok {
-		return fmt.Errorf("ts: store %T does not support full snapshots", s.store)
-	}
-	return sw.WriteSnapshot(w)
-}
-
-// RestorePHL loads a snapshot written by WritePHLSnapshot into the
-// server, rebuilding the spatio-temporal index. It must be called
-// before traffic starts; concurrent requests during a restore see a
-// partially loaded database.
-func (s *Server) RestorePHL(r io.Reader) error {
-	loaded, err := phl.ReadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	for _, u := range loaded.Users() {
-		for _, p := range loaded.History(u).Points() {
-			s.store.Record(u, p)
-			s.index.Insert(u, p)
-		}
-	}
-	return nil
 }
 
 // Inbox receives service responses on a user's device.

@@ -1,7 +1,6 @@
 package ts
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -561,34 +560,6 @@ func TestThetaExtendsQuietWindow(t *testing.T) {
 	}
 	if loose < 0 || strict < 0 {
 		t.Fatalf("service never resumed: strict=%d loose=%d", strict, loose)
-	}
-}
-
-func TestPHLSnapshotRoundTripThroughServer(t *testing.T) {
-	s1, _ := newServer(t, Config{})
-	seedCrowd(s1, 6, 2)
-	var buf bytes.Buffer
-	if err := s1.WritePHLSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := newServer(t, Config{DefaultPolicy: Policy{K: 3}})
-	if err := s2.RestorePHL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Store().NumSamples() != s1.Store().NumSamples() {
-		t.Fatalf("samples: %d vs %d", s2.Store().NumSamples(), s1.Store().NumSamples())
-	}
-	// The rebuilt index serves generalization immediately.
-	if err := s2.AddLBQIDSpec(0, commuteLBQID); err != nil {
-		t.Fatal(err)
-	}
-	dec := s2.Request(0, pt(50, 50, at(0, 7*tgran.Hour+600)), "navigation", nil)
-	if !dec.Generalized || !dec.HKAnonymity {
-		t.Fatalf("restored server must generalize: %+v", dec)
-	}
-	// Corrupt restore is rejected.
-	if err := s2.RestorePHL(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Fatal("corrupt snapshot accepted")
 	}
 }
 

@@ -7,11 +7,17 @@
 # tail-sampling keep reason declared in internal/obs/trace.go — plus
 # the privacy-SLO surface: every /v1/slo and /healthz-SLO JSON field
 # declared in internal/httpapi/slo.go and every canary probe field
-# declared in internal/slo/canary.go — and holds the
-# histanon_ts_events_total event table equal to the event list in
-# internal/ts/events.go, in both directions. CI runs it in the docs job,
-# so adding a metric, field or event without documenting it (or
-# documenting an event the server does not count) fails the build.
+# declared in internal/slo/canary.go. Three surfaces are held equal in
+# both directions, so documentation of something the code no longer
+# has fails too: the metric family names (every full histanon_* name
+# the doc mentions is declared in internal/obs/obs.go), the
+# histanon_ts_events_total event table (against the event list in
+# internal/ts/events.go), and the Health endpoint table (its first
+# column against the JSON fields of HealthResponse, OutboxHealth and
+# StorageHealth in internal/httpapi/httpapi.go and SLOHealth in
+# internal/httpapi/slo.go). CI runs it in the docs job, so adding a
+# metric, field or event without documenting it, or documenting one the
+# server does not have, fails the build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +28,19 @@ fail=0
 for name in $(grep -o '"histanon_[a-z0-9_]*"' internal/obs/obs.go | tr -d '"' | sort -u); do
     if ! grep -q "$name" "$doc"; then
         echo "metric family $name undocumented in $doc" >&2
+        fail=1
+    fi
+done
+
+# The reverse: a full name the doc mentions must be a declared family.
+# Names ending in "_" are prefixes (histanon_storage_*); the
+# _bucket/_sum/_count series names resolve to their histogram family.
+declared=$(grep -o '"histanon_[a-z0-9_]*"' internal/obs/obs.go | tr -d '"' | sort -u)
+for name in $(grep -o 'histanon_[a-z0-9_]*' "$doc" | sort -u); do
+    case "$name" in *_) continue ;; esac
+    family=$(printf '%s\n' "$name" | sed -E 's/_(bucket|sum|count)$//')
+    if ! grep -qx -e "$name" -e "$family" <<<"$declared"; then
+        echo "$doc documents metric family $name, which internal/obs/obs.go does not declare" >&2
         fail=1
     fi
 done
@@ -81,14 +100,40 @@ if [ -z "$events" ] || [ -z "$rows" ]; then
     fail=1
 fi
 for ev in $events; do
-    if ! printf '%s\n' "$rows" | grep -qx "$ev"; then
+    if ! grep -qx "$ev" <<<"$rows"; then
         echo "event $ev has no row in $doc's histanon_ts_events_total table" >&2
         fail=1
     fi
 done
 for row in $rows; do
-    if ! printf '%s\n' "$events" | grep -qx "$row"; then
+    if ! grep -qx "$row" <<<"$events"; then
         echo "$doc's histanon_ts_events_total table documents $row, which internal/ts does not count" >&2
+        fail=1
+    fi
+done
+
+# /healthz: every field in the first column of the Health endpoint
+# table is a JSON field of the health response or one of its sections,
+# and every such field has a first-column entry.
+health=$(for ty in HealthResponse OutboxHealth StorageHealth SLOHealth; do
+             sed -n "/^type $ty struct/,/^}/p" internal/httpapi/httpapi.go internal/httpapi/slo.go
+         done | grep -o 'json:"[a-zA-Z0-9_]*' | sed 's/json:"//' | sort -u)
+cols=$(awk '/^## Health endpoint/{on=1; next} on && /^## /{exit}
+            on && /^\|/{split($0, c, "|"); print c[2]}' "$doc" |
+       grep -o '`[a-zA-Z0-9_]*`' | tr -d '`' | sort -u)
+if [ -z "$health" ] || [ -z "$cols" ]; then
+    echo "no /healthz fields found in internal/httpapi or $doc's Health endpoint table" >&2
+    fail=1
+fi
+for field in $health; do
+    if ! grep -qx "$field" <<<"$cols"; then
+        echo "/healthz field $field has no row in $doc's Health endpoint table" >&2
+        fail=1
+    fi
+done
+for col in $cols; do
+    if ! grep -qx "$col" <<<"$health"; then
+        echo "$doc's Health endpoint table documents $col, which /healthz does not serve" >&2
         fail=1
     fi
 done
@@ -103,6 +148,6 @@ for token in 'slo_warning:' 'slo_page:' 'canary_stale' 'kind="slo"'; do
 done
 
 if [ "$fail" = 0 ]; then
-    echo "checkobsdocs: $doc covers all metrics, audit fields, stages, span fields, keep reasons, TS events and the SLO surface"
+    echo "checkobsdocs: $doc covers all metrics, audit fields, stages, span fields, keep reasons, TS events, /healthz fields and the SLO surface"
 fi
 exit "$fail"
