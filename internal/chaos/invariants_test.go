@@ -5,7 +5,8 @@
 //
 // The invariants, per run:
 //
-//  1. Box enclosure — every forwarded context contains the exact query
+//  1. Box enclosure — every forwarded request is well-formed
+//     (wire.Request.Validate) and its context contains the exact query
 //     point the TS received.
 //  2. Tolerance — every forwarded context respects the service's
 //     coarseness constraint (within a 1e-6 relative epsilon).
@@ -312,7 +313,11 @@ func checkInvariants(t *testing.T, r *run, k int) {
 		}
 		forwardedByID[req.ID] = req
 
-		// Invariant 1: box enclosure.
+		// Invariant 1: a well-formed request whose box encloses the
+		// query point.
+		if err := req.Validate(); err != nil {
+			t.Fatalf("forwarded a malformed request %v: %v", req, err)
+		}
 		if !req.Context.Contains(d.point) {
 			t.Fatalf("forwarded context %v excludes the query point %v", req.Context, d.point)
 		}

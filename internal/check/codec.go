@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
-	"time"
 
 	"histanon/internal/geo"
 	"histanon/internal/httpapi"
@@ -25,17 +24,17 @@ import (
 // servers, each behind the real HTTP handler (httpapi.New) and driven
 // in process through ServeHTTP, without sockets. The JSON leg sends
 // every location as POST /v1/location and every call as POST
-// /v1/request carrying the op's traceparent header, and hands the
-// TS↔SP traffic over in memory. The binary leg flushes wire.Batchers
-// into POST /v1/batch with a binary Accept header, decodes decisions
-// from the response's decision frames, and round-trips every TS→SP
-// request and SP→TS response through the binary codec, the pooled
-// zero-copy parser included. The two legs must be observationally
+// /v1/request carrying the op's traceparent header. The binary leg
+// posts batches built with wire.AppendBatch, as every producer builds
+// them, to POST /v1/batch with a binary Accept header, and decodes
+// decisions from the response's decision frames. Both legs hand the
+// TS↔SP traffic over in memory and check every forwarded request with
+// wire.Request.Validate. The two legs must be observationally
 // identical: equal decisions, forwarded requests, responses, audit logs
 // (including trace_ids) and achieved-k histograms. Any difference is a
-// bug in the binary channel — its framing, its batched ingest in
-// handleBatch, or its codec — silently altering what the privacy
-// pipeline sees or says.
+// bug in the binary channel — its framing or its batched ingest in
+// handleBatch — silently altering what the privacy pipeline sees or
+// says.
 //
 // Determinism notes (why exact comparison is sound):
 //   - pseudonym.Manager mints sequence-numbered pseudonyms, so equal
@@ -228,31 +227,20 @@ func (r *codecRun) fail(kind string, q int, format string, args ...any) {
 
 // newCodecServer builds one leg's trusted server with the shared
 // deterministic configuration and an audit sink into buf, and returns
-// it behind the HTTP handler the leg drives. The outbox hands every
-// forwarded request and its deterministic SP response through
-// roundReq/roundResp — the leg's TS↔SP channel.
-func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer,
-	roundReq func(*wire.Request) (*wire.Request, error),
-	roundResp func(*wire.Response) (*wire.Response, error)) (*ts.Server, http.Handler) {
-
+// it behind the HTTP handler the leg drives. The outbox checks every
+// forwarded request, records it and delivers a deterministic SP
+// response in memory — the leg's TS↔SP channel.
+func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer) (*ts.Server, http.Handler) {
 	var srv *ts.Server
 	out := ts.OutboxFunc(func(req *wire.Request) {
-		rt, err := roundReq(req)
-		if err != nil {
-			run.fail("request-codec", len(run.requests), "round-trip: %v", err)
-			return
+		if err := req.Validate(); err != nil {
+			run.fail("invalid-request", len(run.requests), "%s: %v", renderRequest(req), err)
 		}
-		run.requests = append(run.requests, renderRequest(rt))
-		resp := &wire.Response{ID: rt.ID, Service: rt.Service, Payload: map[string]string{
+		run.requests = append(run.requests, renderRequest(req))
+		srv.DeliverResponse(&wire.Response{ID: req.ID, Service: req.Service, Payload: map[string]string{
 			"status": "ok",
-			"echo":   fmt.Sprintf("%s#%d", rt.Service, rt.ID),
-		}}
-		back, err := roundResp(resp)
-		if err != nil {
-			run.fail("response-codec", len(run.responses), "round-trip: %v", err)
-			return
-		}
-		srv.DeliverResponse(back)
+			"echo":   fmt.Sprintf("%s#%d", req.Service, req.ID),
+		}})
 	})
 	srv = ts.New(ts.Config{
 		Metric:        geo.STMetric{TimeScale: w.Cfg.TimeScale},
@@ -402,15 +390,12 @@ func postJSON(path string, v any) *http.Request {
 }
 
 // runJSONLeg executes the schedule through the JSON API, one location
-// or call per request, and hands the TS↔SP traffic over in memory. When
-// concurrent is true the location prefix is posted by one goroutine per
-// user.
+// or call per request. When concurrent is true the location prefix is
+// posted by one goroutine per user.
 func runJSONLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	run := &codecRun{leg: "json"}
 	var buf bytes.Buffer
-	srv, h := newCodecServer(w, run, &buf,
-		func(r *wire.Request) (*wire.Request, error) { return r, nil },
-		func(r *wire.Response) (*wire.Response, error) { return r, nil })
+	srv, h := newCodecServer(w, run, &buf)
 
 	ingest := func(op CodecOp) {
 		if !op.Call {
@@ -436,54 +421,37 @@ func runJSONLeg(w *CodecWorkload, concurrent bool) *codecRun {
 		}
 		run.decisions = append(run.decisions, fingerprintJSON(q, d))
 	}
-	forEachUserStream(w.Locs, w.Cfg.Users, concurrent, ingest)
-	for _, op := range w.Ops {
-		ingest(op)
+	ingestAll := func(ops []CodecOp) {
+		for _, op := range ops {
+			ingest(op)
+		}
 	}
+	forEachUserStream(w.Locs, w.Cfg.Users, concurrent, ingestAll)
+	ingestAll(w.Ops)
 	run.finish(srv, &buf)
 	return run
 }
 
-// runBinaryLeg executes the same schedule through POST /v1/batch and
-// round-trips the TS↔SP traffic through the binary request/response
-// codec, including the pooled zero-copy parser.
+// codecBatchBytes is the size at which the binary leg closes a batch of
+// locations: small enough that the crowd goes in many multi-frame
+// batches.
+const codecBatchBytes = 512
+
+// runBinaryLeg executes the same schedule through POST /v1/batch.
 func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	run := &codecRun{leg: "binary"}
 	var buf bytes.Buffer
-	srv, h := newCodecServer(w, run, &buf,
-		func(r *wire.Request) (*wire.Request, error) {
-			frame, err := wire.EncodeBinaryRequest(r)
-			if err != nil {
-				return nil, err
-			}
-			// Parse twice: the plain parser feeds the comparison, the
-			// pooled parser must agree with it exactly.
-			plain, err := wire.ParseBinaryRequest(frame)
-			if err != nil {
-				return nil, err
-			}
-			pooled := wire.AcquireBinaryRequest()
-			defer pooled.Release()
-			if err := pooled.ParseFrame(frame); err != nil {
-				return nil, fmt.Errorf("pooled parse disagrees: %v", err)
-			}
-			if a, b := renderRequest(plain), renderRequest(&pooled.Request); a != b {
-				return nil, fmt.Errorf("pooled parse drift: %q vs %q", b, a)
-			}
-			return plain, nil
-		},
-		func(r *wire.Response) (*wire.Response, error) {
-			frame, err := wire.EncodeBinaryResponse(r)
-			if err != nil {
-				return nil, err
-			}
-			return wire.ParseBinaryResponse(frame)
-		})
+	srv, h := newCodecServer(w, run, &buf)
 
-	// post sends one batch to /v1/batch and appends a fingerprint per
-	// decision frame of the response. A batch of locations only gets no
-	// decision frames, so concurrent location flushes never append.
-	post := func(batch []byte, _ int) error {
+	// post sends count encoded frames as one batch to /v1/batch and
+	// appends a fingerprint per decision frame of the response. A batch
+	// of locations only gets no decision frames, so concurrent location
+	// batches never append.
+	post := func(frames []byte, count int) error {
+		batch, err := wire.AppendBatch(nil, count, frames)
+		if err != nil {
+			return err
+		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(batch))
 		req.Header.Set("Content-Type", httpapi.WireContentType)
 		req.Header.Set("Accept", httpapi.WireContentType)
@@ -523,92 +491,47 @@ func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 		})
 	}
 
-	// Phase 1: the location prefix flows through Batchers — one per user
-	// stream — whose size/deadline policy produces multi-frame batches.
-	ingestStream := func(ops []CodecOp) {
-		// An hour-long deadline keeps the timer out of the deterministic
-		// schedule: flushes happen on size or Close only.
-		b, err := wire.NewBatcher(wire.BatcherConfig{
-			MaxBytes: 512, MaxDelay: time.Hour, Flush: post,
-		})
-		if err != nil {
-			run.fail("batcher", -1, "construct: %v", err)
-			return
+	// send posts ops in order, in batches. A batch closes once it holds
+	// codecBatchBytes, and after each call: a call shares its batch with
+	// the movement scheduled before it, which the handler must record
+	// before deciding the call. The last batch takes what is left.
+	send := func(ops []CodecOp) {
+		var frames []byte
+		count := 0
+		flush := func() {
+			if count == 0 {
+				return
+			}
+			if err := post(frames, count); err != nil {
+				run.fail("post", len(run.decisions), "%v", err)
+			}
+			frames, count = frames[:0], 0
 		}
 		for _, op := range ops {
-			frame, err := encodeOp(nil, op)
-			if err != nil {
-				run.fail("encode", -1, "location frame: %v", err)
+			var err error
+			if frames, err = encodeOp(frames, op); err != nil {
+				run.fail("encode", len(run.decisions), "op frame: %v", err)
 				continue
 			}
-			if err := b.Add(frame); err != nil {
-				run.fail("batcher", -1, "add: %v", err)
+			count++
+			if op.Call || len(frames) >= codecBatchBytes {
+				flush()
 			}
 		}
-		if err := b.Close(); err != nil {
-			run.fail("batcher", -1, "close: %v", err)
-		}
-		st := b.Stats()
-		if st.Added != st.Flushed || st.Dropped != 0 || st.Pending != 0 {
-			run.fail("batcher", -1, "conservation: %+v", st)
-		}
+		flush()
 	}
-	if concurrent {
-		streams := partitionByUser(w.Locs, w.Cfg.Users)
-		var wg sync.WaitGroup
-		for _, ops := range streams {
-			wg.Add(1)
-			go func(ops []CodecOp) {
-				defer wg.Done()
-				ingestStream(ops)
-			}(ops)
-		}
-		wg.Wait()
-	} else {
-		ingestStream(w.Locs)
-	}
-
-	// Phase 2: each call goes in one batch with the movement scheduled
-	// before it, so the handler must record that run before deciding the
-	// call; trailing movement goes in a last batch.
-	var frames []byte
-	count := 0
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		batch, err := wire.AppendBatch(nil, count, frames)
-		if err != nil {
-			run.fail("encode", len(run.decisions), "batch frame: %v", err)
-		} else if err := post(batch, count); err != nil {
-			run.fail("decode", len(run.decisions), "post: %v", err)
-		}
-		frames, count = frames[:0], 0
-	}
-	for _, op := range w.Ops {
-		var err error
-		if frames, err = encodeOp(frames, op); err != nil {
-			run.fail("encode", len(run.decisions), "op frame: %v", err)
-			continue
-		}
-		count++
-		if op.Call {
-			flush()
-		}
-	}
-	flush()
+	forEachUserStream(w.Locs, w.Cfg.Users, concurrent, send)
+	send(w.Ops)
 	run.finish(srv, &buf)
 	return run
 }
 
-// forEachUserStream applies ops either in schedule order (sequential)
-// or as one goroutine per user stream (concurrent), preserving per-user
-// order either way.
-func forEachUserStream(ops []CodecOp, users int, concurrent bool, f func(CodecOp)) {
+// forEachUserStream applies f either to ops in schedule order
+// (sequential) or to each user's stream from its own goroutine
+// (concurrent), preserving per-user order either way.
+func forEachUserStream(ops []CodecOp, users int, concurrent bool, f func([]CodecOp)) {
 	if !concurrent {
-		for _, op := range ops {
-			f(op)
-		}
+		f(ops)
 		return
 	}
 	var wg sync.WaitGroup
@@ -616,9 +539,7 @@ func forEachUserStream(ops []CodecOp, users int, concurrent bool, f func(CodecOp
 		wg.Add(1)
 		go func(stream []CodecOp) {
 			defer wg.Done()
-			for _, op := range stream {
-				f(op)
-			}
+			f(stream)
 		}(stream)
 	}
 	wg.Wait()

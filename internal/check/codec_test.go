@@ -55,8 +55,8 @@ func filterCalls(ops []CodecOp) []CodecOp {
 
 // TestCodecConcurrent replays workloads with concurrent crowd ingest:
 // the JSON leg posts each user's locations from its own goroutine while
-// the binary leg pushes each user's stream through its own wire.Batcher
-// into POST /v1/batch. Per-user order is preserved, and tie-free
+// the binary leg posts each user's stream, in batches, from its own
+// goroutine into POST /v1/batch. Per-user order is preserved, and tie-free
 // trajectories make the final state independent of cross-user
 // interleaving, so the two legs must still agree exactly. Run under
 // -race, the interleaving is the test.

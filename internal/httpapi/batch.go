@@ -17,7 +17,7 @@ import (
 // POST /v1/batch: the binary wire-protocol ingest channel. The body is
 // one wire batch frame (internal/wire) of location updates and service
 // calls; the text/JSON API stays the debug surface, this endpoint is
-// the hot path a device SDK's wire.Batcher flushes into.
+// the hot path a device SDK posts its batches to.
 //
 // Content negotiation: the request Content-Type must be WireContentType
 // or the endpoint answers 415 — the JSON API never arrives here by
@@ -176,17 +176,14 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			d := h.srv.RequestTraced(phl.UserID(c.User), geo.STPoint{
 				P: geo.Point{X: c.X, Y: c.Y}, T: c.T,
 			}, c.Service, c.Data, parent)
+			ws.ServiceCalls.Add(1)
 			if binaryResp {
 				decFrames = wire.AppendDecision(decFrames, decisionFrame(d))
 			} else {
 				jsonResp.Decisions = append(jsonResp.Decisions, decisionJSON(d))
 			}
 		default:
-			if dec.Type() == wire.FrameRequest {
-				ws.Requests.Add(1)
-			} else {
-				ws.Other.Add(1)
-			}
+			ws.Other.Add(1)
 			h.rejectBatch(w, run,
 				"batch ingest accepts location and service_call frames, got "+dec.Type().String())
 			return
@@ -202,8 +199,6 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.Batches.Add(1)
 	ws.BatchFrames.Observe(float64(frames))
-	ws.Locations.Add(int64(locations))
-	ws.ServiceCalls.Add(int64(calls))
 
 	if binaryResp {
 		inner := len(decFrames)
@@ -225,9 +220,17 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // recordRun hands a run of location updates to the server and returns
 // the run emptied for reuse, with the server's error when the run was
-// not persisted.
+// not persisted. A persisted run counts as location frames at once, so
+// a batch rejected later still counts the frames it recorded.
 func (h *Handler) recordRun(run []phl.Sample) ([]phl.Sample, error) {
-	return run[:0], h.srv.RecordLocations(run)
+	if len(run) == 0 {
+		return run, nil
+	}
+	if err := h.srv.RecordLocations(run); err != nil {
+		return run[:0], err
+	}
+	h.srv.Wire.Locations.Add(int64(len(run)))
+	return run[:0], nil
 }
 
 // rejectBatch answers a malformed batch with 400. The locations decoded

@@ -2,14 +2,14 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"histanon/internal/tgran"
 	"histanon/internal/wire"
@@ -205,87 +205,75 @@ func TestBatchContentNegotiation(t *testing.T) {
 		t.Fatalf("garbage batch: status %d, want 400", resp.StatusCode)
 	}
 
-	// A request frame is TS→SP traffic; the ingest endpoint rejects it.
-	r := &wire.Request{ID: 1, Pseudonym: "p", Service: "s"}
-	r.Context.Area.MaxX, r.Context.Area.MaxY = 1, 1
-	r.Context.Time.End = 1
-	frames, err := wire.EncodeBinaryRequest(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := wire.AppendBatch(nil, 1, frames)
+	// A decision frame is TS→device traffic; the ingest endpoint rejects
+	// it as a frame of another type.
+	batch, err := wire.AppendBatch(nil, 1, wire.AppendDecision(nil, wire.DecisionFrame{Forwarded: true, Pseudonym: "p"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp = postBatch(t, hts.URL, batch, "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("request frame on ingest: status %d, want 400", resp.StatusCode)
+		t.Fatalf("decision frame on ingest: status %d, want 400", resp.StatusCode)
 	}
 
 	if got := srv.Wire.DecodeErrors.Load(); got != 2 {
 		t.Fatalf("decode errors %d, want 2", got)
 	}
-	if got := srv.Wire.Requests.Load(); got != 1 {
-		t.Fatalf("rejected request frames %d, want 1", got)
+	if got := srv.Wire.Other.Load(); got != 1 {
+		t.Fatalf("rejected frames of other types %d, want 1", got)
 	}
 }
 
-// TestBatchSenderEndToEnd exercises the client-side Batcher → HTTP →
-// batch decode → pipeline loop, decisions coming back through the
-// callback.
-func TestBatchSenderEndToEnd(t *testing.T) {
-	hts, _, _ := newTestServer(t)
-	c := NewClient(hts.URL)
-	if err := c.SetPolicyLevel(1, "medium"); err != nil {
-		t.Fatal(err)
+// TestEmptyDataKeyRejectedOnBothChannels: a service call whose data map
+// has an empty key is malformed on both ingest channels. POST
+// /v1/request and POST /v1/batch each answer 400, and the TS forwards
+// nothing.
+func TestEmptyDataKeyRejectedOnBothChannels(t *testing.T) {
+	hts, _, provider := newTestServer(t)
+	resp := postBatch(t, hts.URL, buildCrowdBatch(t, 8), "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("crowd batch: status %d", resp.StatusCode)
 	}
-	if err := c.AddLBQID(1, commuteSpec); err != nil {
-		t.Fatal(err)
-	}
+	call := ServiceRequest{User: 1, X: 100, Y: 100, T: 7*tgran.Hour + 600, Service: "navigation",
+		Data: map[string]string{"": "v"}}
 
-	var mu sync.Mutex
-	var decisions []wire.DecisionFrame
-	s, err := c.NewBatchSender(BatchSenderConfig{
-		MaxDelay: 5 * time.Millisecond,
-		OnDecision: func(d wire.DecisionFrame) {
-			mu.Lock()
-			decisions = append(decisions, d)
-			mu.Unlock()
-		},
-	})
+	body, err := json.Marshal(call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := int64(2); u <= 9; u++ {
-		if err := s.RecordLocation(u, float64(u*20), float64(u*15), 7*tgran.Hour+u*30); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
+	resp, err = http.Post(hts.URL+"/v1/request", "application/json", bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Request(wire.ServiceCall{
-		User: 1, X: 100, Y: 100, T: 7*tgran.Hour + 600,
-		Service: "navigation", Data: map[string]string{"dest": "office"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1/request: status %d, want 400", resp.StatusCode)
 	}
 
-	st := s.Stats()
-	if st.Added != 9 || st.Flushed != 9 || st.Dropped != 0 || st.Pending != 0 {
-		t.Fatalf("sender stats: %+v", st)
+	// wire.AppendServiceCall refuses the call, so frame it by hand:
+	// encode it with the key "k", then empty the key ("\x01k" becomes
+	// "\x00", one payload byte fewer).
+	frame, err := wire.AppendServiceCall(nil, wire.ServiceCall{User: call.User, X: call.X, Y: call.Y, T: call.T,
+		Service: call.Service, Data: map[string]string{"k": "v"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(decisions) != 1 {
-		t.Fatalf("got %d decisions, want 1", len(decisions))
+	frame = append(frame[:len(frame)-4], 0, 1, 'v')
+	binary.LittleEndian.PutUint32(frame[5:9], binary.LittleEndian.Uint32(frame[5:9])-1)
+	batch, err := wire.AppendBatch(nil, 1, frame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !decisions[0].Forwarded || decisions[0].MatchedLBQID != "commute" {
-		t.Fatalf("decision: %+v", decisions[0])
+	resp = postBatch(t, hts.URL, batch, "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1/batch: status %d, want 400", resp.StatusCode)
+	}
+
+	if reqs := provider.Requests(); len(reqs) != 0 {
+		t.Fatalf("forwarded %d requests, want none: %v", len(reqs), reqs[0])
 	}
 }
 
@@ -344,17 +332,12 @@ func TestBatchRunRecordedBeforeServiceCall(t *testing.T) {
 
 // TestBatchMalformedFrameRecordsEarlierRun: a batch whose frame after
 // N location frames is malformed gets a 400, and the N locations are
-// recorded, as they were when each frame was recorded on decode.
+// recorded, as they were when each frame was recorded on decode, and
+// counted as location frames. The batch itself is not counted.
 func TestBatchMalformedFrameRecordsEarlierRun(t *testing.T) {
-	request := &wire.Request{ID: 1, Pseudonym: "p", Service: "s"}
-	request.Context.Area.MaxX, request.Context.Area.MaxY, request.Context.Time.End = 1, 1, 1
-	requestFrame, err := wire.EncodeBinaryRequest(request)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tails := map[string][]byte{
 		"non-finite location": wire.AppendLocation(nil, wire.LocationUpdate{User: 99, X: math.NaN(), Y: 1, T: 1}),
-		"request frame":       requestFrame,
+		"decision frame":      wire.AppendDecision(nil, wire.DecisionFrame{Forwarded: true, Pseudonym: "p"}),
 		"undecodable frame":   make([]byte, 9),
 	}
 	const n = 5
@@ -379,6 +362,12 @@ func TestBatchMalformedFrameRecordsEarlierRun(t *testing.T) {
 			}
 			if got := srv.Wire.DecodeErrors.Load(); got != 1 {
 				t.Fatalf("decode errors %d, want 1", got)
+			}
+			if got := srv.Wire.Locations.Load(); got != n {
+				t.Fatalf("counted %d location frames, want the %d recorded", got, n)
+			}
+			if got := srv.Wire.Batches.Load(); got != 0 {
+				t.Fatalf("counted %d batches, want 0", got)
 			}
 		})
 	}

@@ -49,6 +49,7 @@ import (
 	"histanon/internal/resilience"
 	"histanon/internal/storage"
 	"histanon/internal/ts"
+	"histanon/internal/wire"
 )
 
 // LocationRequest is the body of POST /v1/location.
@@ -489,6 +490,10 @@ func (h *Handler) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Service == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "service is required"})
+		return
+	}
+	if err := wire.ValidateData(req.Data); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	// A malformed traceparent is ignored (the W3C spec's directive):

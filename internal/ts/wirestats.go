@@ -10,8 +10,8 @@ import (
 // WireStats counts binary wire-protocol activity on the batch ingest
 // channel (internal/wire via httpapi's /v1/batch). The per-type frame
 // counters are plain atomics rather than a CounterVec: the ingest path
-// bumps one per frame at millions of frames per second, and a vector
-// lookup would rebuild its label key on every increment.
+// bumps them at millions of frames per second, and a vector lookup
+// would rebuild its label key on every increment.
 type WireStats struct {
 	// Batches counts batch frames decoded successfully.
 	Batches atomic.Int64
@@ -20,15 +20,15 @@ type WireStats struct {
 	// DecodeErrors counts batches (or frames within them) rejected as
 	// malformed.
 	DecodeErrors atomic.Int64
-	// Locations / ServiceCalls / Requests count well-formed inner
-	// frames by type; Other counts types the batch endpoint does not
-	// accept.
+	// Locations counts location frames the server recorded and
+	// ServiceCalls the service-call frames it decided, also in a batch
+	// rejected afterwards; Other counts frames of a type the batch
+	// endpoint does not accept.
 	Locations    atomic.Int64
 	ServiceCalls atomic.Int64
-	Requests     atomic.Int64
 	Other        atomic.Int64
 	// BatchFrames observes the inner-frame count per decoded batch —
-	// the batching efficiency the client-side Batcher policy achieves.
+	// the batching efficiency clients achieve.
 	BatchFrames *metrics.Histogram
 }
 
@@ -46,12 +46,11 @@ func (w *WireStats) register(r *metrics.Registry) {
 	}{
 		{"location", &w.Locations},
 		{"service_call", &w.ServiceCalls},
-		{"request", &w.Requests},
 		{"other", &w.Other},
 	} {
 		src := ft.src
 		r.RegisterCounterFunc(obs.MetricWireFrames,
-			"Well-formed binary frames ingested via /v1/batch, by frame type.",
+			"Binary frames ingested via /v1/batch, by frame type: location frames recorded, service calls decided, other frames rejected.",
 			metrics.Labels{"type": ft.label},
 			func() int64 { return src.Load() })
 	}

@@ -82,9 +82,6 @@ func NewBatchDecoder(batch []byte) (BatchDecoder, error) {
 	return BatchDecoder{rest: payload[fr.off:], count: int(n)}, nil
 }
 
-// Count is the batch's declared inner-frame count.
-func (d *BatchDecoder) Count() int { return d.count }
-
 // Next advances to the next inner frame. It returns false at the end of
 // the batch or on a malformed frame; check Err afterwards.
 func (d *BatchDecoder) Next() bool {

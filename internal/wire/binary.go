@@ -5,20 +5,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"unsafe"
 
 	"histanon/internal/geo"
 )
 
-// Binary codec for the wire channel: the one encoding of the TS↔SP
-// messages and of the device→TS batch channel (POST /v1/batch). One
-// fixed little-endian header per frame, varint ids and timestamps,
-// fixed-point coordinates with an IEEE escape hatch so every finite
-// float64 round-trips exactly, and a batch frame that coalesces many
-// frames into one write. internal/check differential-tests the batch
-// channel against the JSON API through the real HTTP handler over the
-// seeded workloads.
+// Binary codec of the device→TS batch channel (POST /v1/batch):
+// location and service-call frames in, decision frames out, each set
+// wrapped in one batch frame. One fixed little-endian header per frame,
+// varint ids and timestamps, fixed-point coordinates with an IEEE
+// escape hatch so every finite float64 round-trips exactly.
+// internal/check differential-tests the channel against the JSON API
+// through the real HTTP handler over the seeded workloads.
 //
 // Frame layout (all multi-byte integers little-endian):
 //
@@ -56,12 +53,9 @@ const BinaryVersion = 1
 // FrameType discriminates the payload of a binary frame.
 type FrameType byte
 
-// The binary frame types.
+// The binary frame types. Numbers 1 and 2 are unassigned: a frame of
+// either type is an unknown type to every decoder.
 const (
-	// FrameRequest carries a Request — the TS→SP channel.
-	FrameRequest FrameType = 1
-	// FrameResponse carries a Response — the SP→TS answer channel.
-	FrameResponse FrameType = 2
 	// FrameLocation carries a LocationUpdate — a device position sample
 	// on the client→TS ingest channel.
 	FrameLocation FrameType = 3
@@ -79,10 +73,6 @@ const (
 // String names the frame type for metrics labels and errors.
 func (t FrameType) String() string {
 	switch t {
-	case FrameRequest:
-		return "request"
-	case FrameResponse:
-		return "response"
 	case FrameLocation:
 		return "location"
 	case FrameServiceCall:
@@ -270,54 +260,6 @@ func appendData(dst []byte, m map[string]string) []byte {
 	return dst
 }
 
-// AppendBinaryRequest appends r as one binary frame. It fails when r
-// does not Validate, so malformed requests cannot leave the TS.
-func AppendBinaryRequest(dst []byte, r *Request) ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return dst, err
-	}
-	a := r.Context.Area
-	var flags byte
-	fixed := fixedCoords(a.MinX, a.MinY, a.MaxX, a.MaxY)
-	if fixed {
-		flags = FlagFixedCoords
-	}
-	dst, lenAt := appendHeader(dst, FrameRequest, flags)
-	dst = appendVarint(dst, int64(r.ID))
-	dst = appendString(dst, string(r.Pseudonym))
-	dst = appendString(dst, r.Service)
-	dst = appendCoord(dst, a.MinX, fixed)
-	dst = appendCoord(dst, a.MinY, fixed)
-	dst = appendCoord(dst, a.MaxX, fixed)
-	dst = appendCoord(dst, a.MaxY, fixed)
-	dst = appendVarint(dst, r.Context.Time.Start)
-	dst = appendVarint(dst, r.Context.Time.End)
-	dst = appendData(dst, r.Data)
-	return patchLength(dst, lenAt), nil
-}
-
-// EncodeBinaryRequest renders r as a fresh binary frame.
-func EncodeBinaryRequest(r *Request) ([]byte, error) {
-	return AppendBinaryRequest(nil, r)
-}
-
-// AppendBinaryResponse appends r as one binary frame.
-func AppendBinaryResponse(dst []byte, r *Response) ([]byte, error) {
-	if r.Service == "" {
-		return dst, fmt.Errorf("wire: empty service")
-	}
-	dst, lenAt := appendHeader(dst, FrameResponse, 0)
-	dst = appendVarint(dst, int64(r.ID))
-	dst = appendString(dst, r.Service)
-	dst = appendData(dst, r.Payload)
-	return patchLength(dst, lenAt), nil
-}
-
-// EncodeBinaryResponse renders r as a fresh binary frame.
-func EncodeBinaryResponse(r *Response) ([]byte, error) {
-	return AppendBinaryResponse(nil, r)
-}
-
 // AppendLocation appends a position update as one binary frame. It
 // never fails: any finite coordinates are encodable, and non-finite
 // ones take the IEEE path and are rejected by the parser instead.
@@ -336,10 +278,14 @@ func AppendLocation(dst []byte, l LocationUpdate) []byte {
 }
 
 // AppendServiceCall appends a device service request as one binary
-// frame. The service name must be non-empty.
+// frame. The service name must be non-empty and the data map must pass
+// ValidateData, as the parser requires.
 func AppendServiceCall(dst []byte, c ServiceCall) ([]byte, error) {
 	if c.Service == "" {
 		return dst, fmt.Errorf("wire: empty service")
+	}
+	if err := ValidateData(c.Data); err != nil {
+		return dst, err
 	}
 	var flags byte
 	fixed := fixedCoords(c.X, c.Y)
@@ -493,16 +439,6 @@ func (r *frameReader) done() error {
 	return nil
 }
 
-// unsafeString views b as a string without copying. The result aliases
-// b: it is valid only while the caller keeps b alive and unmodified —
-// the contract of the pooled zero-copy parse path.
-func unsafeString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
-
 // SplitFrame validates one frame header at the front of b and returns
 // its type, flags and payload, plus the remainder of b after the
 // frame. It never reads past the declared payload.
@@ -531,78 +467,9 @@ func SplitFrame(b []byte) (typ FrameType, flags byte, payload, rest []byte, err 
 	return typ, flags, b[headerSize : headerSize+int(n)], b[headerSize+int(n):], nil
 }
 
-// requestDst tells parseRequestPayload where to put the parsed request
-// and whether strings must be copied off the input buffer (the
-// allocating path) or may alias it (the pooled zero-copy path).
-type requestDst struct {
-	r       *Request
-	scratch map[string]string
-	copy    bool
-}
-
-func (d requestDst) str(b []byte) string {
-	if d.copy {
-		return string(b)
-	}
-	return unsafeString(b)
-}
-
-// parseRequestPayload decodes a FrameRequest payload into dst and
-// rejects a result that does not Validate, so the parser accepts only
-// requests the encoder can produce.
-func parseRequestPayload(flags byte, p []byte, dst requestDst) error {
-	fixed := flags&FlagFixedCoords != 0
-	fr := frameReader{p: p}
-	id, err := fr.varint()
-	if err != nil {
-		return err
-	}
-	pseudo, err := fr.bytes()
-	if err != nil {
-		return err
-	}
-	svc, err := fr.bytes()
-	if err != nil {
-		return err
-	}
-	var coords [4]float64
-	for i := range coords {
-		if coords[i], err = fr.coord(fixed); err != nil {
-			return err
-		}
-	}
-	start, err := fr.varint()
-	if err != nil {
-		return err
-	}
-	end, err := fr.varint()
-	if err != nil {
-		return err
-	}
-	data, err := parseDataInto(&fr, dst)
-	if err != nil {
-		return err
-	}
-	if err := fr.done(); err != nil {
-		return err
-	}
-	*dst.r = Request{
-		ID:        MsgID(id),
-		Pseudonym: Pseudonym(dst.str(pseudo)),
-		Service:   dst.str(svc),
-		Context: geo.STBox{
-			Area: geo.Rect{MinX: coords[0], MinY: coords[1], MaxX: coords[2], MaxY: coords[3]},
-			Time: geo.Interval{Start: start, End: end},
-		},
-		Data: data,
-	}
-	return dst.r.Validate()
-}
-
-// parseDataInto decodes a canonical data map. The allocating path
-// builds a fresh map; the pooled path refills dst.scratch. Empty maps
+// parseData decodes a canonical data map into a fresh map. Empty maps
 // decode to nil.
-func parseDataInto(fr *frameReader, dst requestDst) (map[string]string, error) {
+func parseData(fr *frameReader) (map[string]string, error) {
 	n, err := fr.uvarint()
 	if err != nil {
 		return nil, err
@@ -615,13 +482,7 @@ func parseDataInto(fr *frameReader, dst requestDst) (map[string]string, error) {
 	if n > uint64(fr.remaining())/2 {
 		return nil, fmt.Errorf("wire: data pair count %d exceeds payload", n)
 	}
-	var m map[string]string
-	if dst.copy {
-		m = make(map[string]string, n)
-	} else {
-		m = dst.scratch
-		clear(m)
-	}
+	m := make(map[string]string, n)
 	var prev []byte
 	for i := uint64(0); i < n; i++ {
 		k, err := fr.bytes()
@@ -639,69 +500,9 @@ func parseDataInto(fr *frameReader, dst requestDst) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[dst.str(k)] = dst.str(v)
+		m[string(k)] = string(v)
 	}
 	return m, nil
-}
-
-// ParseBinaryRequest decodes one complete FrameRequest frame into a
-// fresh Request with copied strings. It is the allocating counterpart
-// of BinaryRequest.ParseFrame and the exact inverse of
-// AppendBinaryRequest.
-func ParseBinaryRequest(frame []byte) (*Request, error) {
-	typ, flags, payload, rest, err := SplitFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if typ != FrameRequest {
-		return nil, fmt.Errorf("wire: frame type %s, want request", typ)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after frame", len(rest))
-	}
-	r := new(Request)
-	if err := parseRequestPayload(flags, payload, requestDst{r: r, copy: true}); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ParseBinaryResponse decodes one complete FrameResponse frame.
-func ParseBinaryResponse(frame []byte) (*Response, error) {
-	typ, _, payload, rest, err := SplitFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if typ != FrameResponse {
-		return nil, fmt.Errorf("wire: frame type %s, want response", typ)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after frame", len(rest))
-	}
-	return parseResponsePayload(payload)
-}
-
-func parseResponsePayload(p []byte) (*Response, error) {
-	fr := frameReader{p: p}
-	id, err := fr.varint()
-	if err != nil {
-		return nil, err
-	}
-	svc, err := fr.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if len(svc) == 0 {
-		return nil, fmt.Errorf("wire: empty service")
-	}
-	payload, err := parseDataInto(&fr, requestDst{copy: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := fr.done(); err != nil {
-		return nil, err
-	}
-	return &Response{ID: MsgID(id), Service: string(svc), Payload: payload}, nil
 }
 
 // ParseLocationPayload decodes a FrameLocation payload. The update is
@@ -731,21 +532,6 @@ func ParseLocationPayload(flags byte, p []byte) (LocationUpdate, error) {
 		return l, fmt.Errorf("wire: non-finite location coordinate")
 	}
 	return l, nil
-}
-
-// ParseLocation decodes one complete FrameLocation frame.
-func ParseLocation(frame []byte) (LocationUpdate, error) {
-	typ, flags, payload, rest, err := SplitFrame(frame)
-	if err != nil {
-		return LocationUpdate{}, err
-	}
-	if typ != FrameLocation {
-		return LocationUpdate{}, fmt.Errorf("wire: frame type %s, want location", typ)
-	}
-	if len(rest) != 0 {
-		return LocationUpdate{}, fmt.Errorf("wire: %d trailing bytes after frame", len(rest))
-	}
-	return ParseLocationPayload(flags, payload)
 }
 
 // ParseServiceCallPayload decodes a FrameServiceCall payload into a
@@ -780,7 +566,7 @@ func ParseServiceCallPayload(flags byte, p []byte) (ServiceCall, error) {
 	if err != nil {
 		return c, err
 	}
-	c.Data, err = parseDataInto(&fr, requestDst{copy: true})
+	c.Data, err = parseData(&fr)
 	if err != nil {
 		return c, err
 	}
@@ -793,21 +579,6 @@ func ParseServiceCallPayload(flags byte, p []byte) (ServiceCall, error) {
 	c.Service = string(svc)
 	c.Traceparent = string(tp)
 	return c, nil
-}
-
-// ParseServiceCall decodes one complete FrameServiceCall frame.
-func ParseServiceCall(frame []byte) (ServiceCall, error) {
-	typ, flags, payload, rest, err := SplitFrame(frame)
-	if err != nil {
-		return ServiceCall{}, err
-	}
-	if typ != FrameServiceCall {
-		return ServiceCall{}, fmt.Errorf("wire: frame type %s, want service_call", typ)
-	}
-	if len(rest) != 0 {
-		return ServiceCall{}, fmt.Errorf("wire: %d trailing bytes after frame", len(rest))
-	}
-	return ParseServiceCallPayload(flags, payload)
 }
 
 // ParseDecisionPayload decodes a FrameDecision payload.
@@ -871,77 +642,4 @@ func ParseDecisionPayload(flags byte, p []byte) (DecisionFrame, error) {
 		return d, err
 	}
 	return d, nil
-}
-
-// ParseDecision decodes one complete FrameDecision frame.
-func ParseDecision(frame []byte) (DecisionFrame, error) {
-	typ, flags, payload, rest, err := SplitFrame(frame)
-	if err != nil {
-		return DecisionFrame{}, err
-	}
-	if typ != FrameDecision {
-		return DecisionFrame{}, fmt.Errorf("wire: frame type %s, want decision", typ)
-	}
-	if len(rest) != 0 {
-		return DecisionFrame{}, fmt.Errorf("wire: %d trailing bytes after frame", len(rest))
-	}
-	return ParseDecisionPayload(flags, payload)
-}
-
-// BinaryRequest is a pooled, zero-copy parsed request: ParseFrame fills
-// the embedded Request with strings that alias the input frame and a
-// data map recycled across uses, so the parse path allocates nothing.
-// The parsed Request is valid only until Release or the next ParseFrame,
-// and only while the caller keeps the frame buffer alive and unmodified.
-// Callers that need the request beyond that window must deep-copy it.
-type BinaryRequest struct {
-	Request
-	// scratch is the recycled data map; Request.Data points at it when
-	// the frame carries data and is nil otherwise (as ParseBinaryRequest
-	// returns it).
-	scratch map[string]string
-}
-
-// binaryRequestPool recycles BinaryRequests for the zero-alloc parse
-// path.
-var binaryRequestPool = sync.Pool{
-	New: func() any { return &BinaryRequest{scratch: make(map[string]string, 8)} },
-}
-
-// AcquireBinaryRequest returns a pooled request for ParseFrame; pair it
-// with Release.
-func AcquireBinaryRequest() *BinaryRequest {
-	return binaryRequestPool.Get().(*BinaryRequest)
-}
-
-// Release clears the request (dropping every reference into the last
-// frame) and returns it to the pool. The request must not be used
-// afterwards.
-func (b *BinaryRequest) Release() {
-	clear(b.scratch)
-	b.Request = Request{}
-	binaryRequestPool.Put(b)
-}
-
-// ParseFrame decodes one complete FrameRequest frame into b without
-// allocating: strings alias the frame and the data map is recycled.
-// See the type comment for the aliasing contract.
-func (b *BinaryRequest) ParseFrame(frame []byte) error {
-	typ, flags, payload, rest, err := SplitFrame(frame)
-	if err != nil {
-		return err
-	}
-	if typ != FrameRequest {
-		return fmt.Errorf("wire: frame type %s, want request", typ)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after frame", len(rest))
-	}
-	return b.parsePayload(flags, payload)
-}
-
-// parsePayload is ParseFrame below the header, for batch decoders that
-// already split the frame.
-func (b *BinaryRequest) parsePayload(flags byte, payload []byte) error {
-	return parseRequestPayload(flags, payload, requestDst{r: &b.Request, scratch: b.scratch})
 }

@@ -3,11 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
-	"reflect"
 	"testing"
-
-	"histanon/internal/geo"
 )
 
 // FuzzParseBinaryFrame throws arbitrary bytes at the frame splitter and
@@ -17,93 +15,23 @@ import (
 // accepted message reproduces a frame that parses back to the same
 // message.
 func FuzzParseBinaryFrame(f *testing.F) {
-	req, _ := EncodeBinaryRequest(mkReq())
-	f.Add(req)
-	resp, _ := EncodeBinaryResponse(&Response{ID: 9, Service: "s", Payload: map[string]string{"a": "b"}})
-	f.Add(resp)
+	f.Add(AppendDecision(nil, DecisionFrame{Forwarded: true, Generalized: true, MatchedLBQID: "home", Pseudonym: "p-1337",
+		HasContext: true, Context: box(math.Pi, -50.5, 200.75, 50.5, 1000, 2000)}))
+	f.Add(AppendDecision(nil, DecisionFrame{Suppressed: true, DegradedReason: "outbox saturated",
+		HasContext: true, Context: box(math.Copysign(0, -1), 0, 1, 1, math.MinInt64, math.MaxInt64)}))
 	f.Add(AppendLocation(nil, LocationUpdate{User: 3, X: 1.25, Y: -2.5, T: 77}))
 	call, _ := AppendServiceCall(nil, ServiceCall{User: 1, X: math.Pi, Y: 0, T: 5, Service: "svc", Traceparent: "00-x-y-01"})
 	f.Add(call)
 	f.Add(AppendDecision(nil, DecisionFrame{Forwarded: true, Pseudonym: "p", TraceID: "t"}))
 	f.Add([]byte{Magic[0], Magic[1], BinaryVersion, byte(FrameLocation), 0xff, 0, 0, 0, 0})
-	f.Add([]byte{Magic[0], Magic[1], BinaryVersion, byte(FrameRequest), 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{Magic[0], Magic[1], BinaryVersion, byte(FrameDecision), 0, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, flags, payload, _, err := SplitFrame(data)
 		if err != nil {
 			return
 		}
-		switch typ {
-		case FrameRequest:
-			r := new(Request)
-			if err := parseRequestPayload(flags, payload, requestDst{r: r, copy: true}); err != nil {
-				return
-			}
-			frame, err := EncodeBinaryRequest(r)
-			if err != nil {
-				t.Fatalf("accepted request does not re-encode: %+v: %v", r, err)
-			}
-			again, err := ParseBinaryRequest(frame)
-			if err != nil {
-				t.Fatalf("re-encoded request does not parse: %v", err)
-			}
-			if !reflect.DeepEqual(again, r) {
-				t.Fatalf("closure violated:\n got %+v\nwant %+v", again, r)
-			}
-			// The pooled zero-copy parse agrees with the allocating one.
-			br := AcquireBinaryRequest()
-			defer br.Release()
-			if err := br.parsePayload(flags, payload); err != nil {
-				t.Fatalf("pooled parse rejects what allocating parse accepts: %v", err)
-			}
-			if !reflect.DeepEqual(&br.Request, r) {
-				t.Fatalf("pooled parse disagrees:\n got %+v\nwant %+v", &br.Request, r)
-			}
-		case FrameResponse:
-			r, err := parseResponsePayload(payload)
-			if err != nil {
-				return
-			}
-			frame, err := EncodeBinaryResponse(r)
-			if err != nil {
-				t.Fatalf("accepted response does not re-encode: %v", err)
-			}
-			again, err := ParseBinaryResponse(frame)
-			if err != nil || !reflect.DeepEqual(again, r) {
-				t.Fatalf("response closure violated: %v", err)
-			}
-		case FrameLocation:
-			l, err := ParseLocationPayload(flags, payload)
-			if err != nil {
-				return
-			}
-			again, err := ParseLocation(AppendLocation(nil, l))
-			if err != nil || again != l {
-				t.Fatalf("location closure violated: %v", err)
-			}
-		case FrameServiceCall:
-			c, err := ParseServiceCallPayload(flags, payload)
-			if err != nil {
-				return
-			}
-			frame, err := AppendServiceCall(nil, c)
-			if err != nil {
-				t.Fatalf("accepted call does not re-encode: %v", err)
-			}
-			again, err := ParseServiceCall(frame)
-			if err != nil || !reflect.DeepEqual(again, c) {
-				t.Fatalf("service-call closure violated: %v", err)
-			}
-		case FrameDecision:
-			d, err := ParseDecisionPayload(flags, payload)
-			if err != nil {
-				return
-			}
-			again, err := ParseDecision(AppendDecision(nil, d))
-			if err != nil || again != d {
-				t.Fatalf("decision closure violated: %v", err)
-			}
-		case FrameBatch:
+		if typ == FrameBatch {
 			dec, err := NewBatchDecoder(data)
 			if err != nil {
 				return
@@ -111,13 +39,29 @@ func FuzzParseBinaryFrame(f *testing.F) {
 			for dec.Next() {
 			}
 			_ = dec.Err()
+			return
+		}
+		v, err := parsePayload(typ, flags, payload)
+		if err != nil {
+			return
+		}
+		frame, err := encodeFrame(v)
+		if err != nil {
+			t.Fatalf("accepted %s does not re-encode: %+v: %v", typ, v, err)
+		}
+		again, err := parseFrame(frame)
+		if err != nil {
+			t.Fatalf("re-encoded %s does not parse: %v", typ, err)
+		}
+		if !sameValue(again, v) {
+			t.Fatalf("%s closure violated:\n got %#v\nwant %#v", typ, again, v)
 		}
 	})
 }
 
 // FuzzBatchRoundTrip drives batching from both directions. The fuzz
 // input is first read as a value script building a batch of location
-// updates, service calls and requests — decode(encode(batch)) must
+// updates, service calls and decisions — decode(encode(batch)) must
 // reproduce the batch exactly. The raw input is then also decoded
 // directly as a batch, so mutated batch framing exercises the
 // decoder's bounds checks, and every frame it accepts must re-encode
@@ -125,7 +69,8 @@ func FuzzParseBinaryFrame(f *testing.F) {
 func FuzzBatchRoundTrip(f *testing.F) {
 	var frames []byte
 	frames = AppendLocation(frames, LocationUpdate{User: 1, X: 2.25, Y: -3, T: 4})
-	frames, _ = AppendBinaryRequest(frames, mkReq())
+	frames = AppendDecision(frames, DecisionFrame{Forwarded: true, Pseudonym: "p-1337",
+		HasContext: true, Context: box(100.25, -50.5, 200.75, 50.5, 1000, 2000)})
 	seed, _ := AppendBatch(nil, 2, frames)
 	f.Add(seed)
 	f.Add([]byte("HW\x01\x06\x00\x00\x00\x00\x00"))
@@ -163,23 +108,18 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				}
 				want = append(want, c)
 			case 2:
-				r := &Request{
-					ID: MsgID(vals.int64()), Pseudonym: Pseudonym("p" + vals.str()), Service: "s" + vals.str(),
+				bits, _ := vals.byte()
+				d := DecisionFrame{
+					Forwarded: bits&1 != 0, Generalized: bits&2 != 0, HKAnonymity: bits&4 != 0, Unlinked: bits&8 != 0,
+					AtRisk: bits&16 != 0, Suppressed: bits&32 != 0, Degraded: bits&64 != 0, QIDExposed: bits&128 != 0,
+					MatchedLBQID: vals.str(), DegradedReason: vals.str(), TraceID: vals.str(), Pseudonym: vals.str(),
 				}
-				minx, miny := vals.coord(), vals.coord()
-				w, h := math.Abs(vals.coord()), math.Abs(vals.coord())
-				r.Context.Area = geo.Rect{MinX: minx, MinY: miny, MaxX: minx + w, MaxY: miny + h}
-				start := vals.int64()
-				r.Context.Time.Start = start
-				r.Context.Time.End = start + int64(vals.uint16())
-				if r.Validate() != nil {
-					continue
+				if d.Forwarded {
+					d.HasContext = true
+					d.Context = box(vals.coord(), vals.coord(), vals.coord(), vals.coord(), vals.int64(), vals.int64())
 				}
-				var err error
-				if built, err = AppendBinaryRequest(built, r); err != nil {
-					t.Fatalf("encode %+v: %v", r, err)
-				}
-				want = append(want, r)
+				built = AppendDecision(built, d)
+				want = append(want, d)
 			}
 		}
 		if len(want) > 0 {
@@ -199,37 +139,16 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		var rebuilt []byte
 		var got []any
 		for dec.Next() {
-			switch dec.Type() {
-			case FrameLocation:
-				l, err := ParseLocationPayload(dec.Flags(), dec.Payload())
-				if err != nil {
-					return
-				}
-				rebuilt = AppendLocation(rebuilt, l)
-				got = append(got, l)
-			case FrameServiceCall:
-				c, err := ParseServiceCallPayload(dec.Flags(), dec.Payload())
-				if err != nil {
-					return
-				}
-				rebuilt, err = AppendServiceCall(rebuilt, c)
-				if err != nil {
-					t.Fatalf("accepted call does not re-encode: %v", err)
-				}
-				got = append(got, c)
-			case FrameRequest:
-				r := new(Request)
-				if err := parseRequestPayload(dec.Flags(), dec.Payload(), requestDst{r: r, copy: true}); err != nil {
-					return
-				}
-				rebuilt, err = AppendBinaryRequest(rebuilt, r)
-				if err != nil {
-					t.Fatalf("accepted request does not re-encode: %v", err)
-				}
-				got = append(got, r)
-			default:
+			v, err := parsePayload(dec.Type(), dec.Flags(), dec.Payload())
+			if err != nil {
 				return
 			}
+			frame, err := encodeFrame(v)
+			if err != nil {
+				t.Fatalf("accepted %s does not re-encode: %v", dec.Type(), err)
+			}
+			rebuilt = append(rebuilt, frame...)
+			got = append(got, v)
 		}
 		if dec.Err() != nil || len(got) == 0 {
 			return
@@ -254,25 +173,12 @@ func checkBatchEquals(t *testing.T, batch []byte, want []any) {
 		if i >= len(want) {
 			t.Fatalf("batch yields more than %d frames", len(want))
 		}
-		var got any
-		var err error
-		switch dec.Type() {
-		case FrameLocation:
-			got, err = ParseLocationPayload(dec.Flags(), dec.Payload())
-		case FrameServiceCall:
-			got, err = ParseServiceCallPayload(dec.Flags(), dec.Payload())
-		case FrameRequest:
-			r := new(Request)
-			err = parseRequestPayload(dec.Flags(), dec.Payload(), requestDst{r: r, copy: true})
-			got = r
-		default:
-			t.Fatalf("frame %d: unexpected type %s", i, dec.Type())
-		}
+		got, err := parsePayload(dec.Type(), dec.Flags(), dec.Payload())
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("frame %d:\n got %+v\nwant %+v", i, got, want[i])
+		if !sameValue(got, want[i]) {
+			t.Fatalf("frame %d:\n got %#v\nwant %#v", i, got, want[i])
 		}
 		i++
 	}
@@ -283,6 +189,12 @@ func checkBatchEquals(t *testing.T, batch []byte, want []any) {
 		t.Fatalf("decoded %d frames, want %d", i, len(want))
 	}
 }
+
+// sameValue reports whether a and b are the same value. It compares the
+// printed forms, in which every float64 prints distinctly: unlike
+// reflect.DeepEqual it tells −0 from +0 and holds NaN equal to NaN,
+// which a decision context may carry.
+func sameValue(a, b any) bool { return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b) }
 
 // valueReader consumes fuzz bytes as typed values, zero-padding at the
 // end so every read succeeds deterministically.

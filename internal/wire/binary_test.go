@@ -3,129 +3,72 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"histanon/internal/geo"
 )
 
-func mkReq() *Request {
-	return &Request{
-		ID:        42,
-		Pseudonym: "p-1337",
-		Service:   "weather",
-		Context: geo.STBox{
-			Area: geo.Rect{MinX: 100.25, MinY: -50.5, MaxX: 200.75, MaxY: 50.5},
-			Time: geo.Interval{Start: 1000, End: 2000},
-		},
-		Data: map[string]string{"q": "forecast", "units": "si"},
+// parseFrame decodes one complete frame as handleBatch decodes an inner
+// frame of a batch: SplitFrame, then the payload parser of its type.
+func parseFrame(frame []byte) (any, error) {
+	typ, flags, payload, _, err := SplitFrame(frame)
+	if err != nil {
+		return nil, err
 	}
+	return parsePayload(typ, flags, payload)
 }
 
-func binaryRequestCases() map[string]*Request {
-	return map[string]*Request{
-		"basic": mkReq(),
-		"empty data": {
-			ID: -7, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{Area: geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Time: geo.Interval{Start: -5, End: 5}},
-		},
-		"unicode strings": {
-			ID: 1 << 60, Pseudonym: "αβ γ=δ&ε", Service: "täxi service",
-			Context: geo.STBox{Area: geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, Time: geo.Interval{Start: 0, End: 0}},
-			Data:    map[string]string{"a b": "c&d", "ключ": "значение", "~": "="},
-		},
-		"irrational coords": {
-			ID: 0, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: math.Pi, MinY: math.E, MaxX: 4, MaxY: 3},
-				Time: geo.Interval{Start: math.MinInt64, End: math.MaxInt64},
-			},
-		},
-		"huge coords": {
-			ID: math.MaxInt64, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: -1e300, MinY: -math.MaxFloat64, MaxX: 1e300, MaxY: math.MaxFloat64},
-				Time: geo.Interval{Start: 0, End: 1},
-			},
-		},
-		"denormal coords": {
-			ID: 1, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: -5e-324, MinY: 0, MaxX: 5e-324, MaxY: 1e-300},
-				Time: geo.Interval{Start: 0, End: 1},
-			},
-		},
-		"negative zero": {
-			ID: 1, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: math.Copysign(0, -1), MinY: math.Copysign(0, -1), MaxX: 0, MaxY: 1},
-				Time: geo.Interval{Start: 0, End: 1},
-			},
-		},
+// parsePayload dispatches a split frame to its type's payload parser.
+func parsePayload(typ FrameType, flags byte, p []byte) (any, error) {
+	switch typ {
+	case FrameLocation:
+		return ParseLocationPayload(flags, p)
+	case FrameServiceCall:
+		return ParseServiceCallPayload(flags, p)
+	case FrameDecision:
+		return ParseDecisionPayload(flags, p)
 	}
+	return nil, fmt.Errorf("unexpected %s frame", typ)
 }
 
-func TestBinaryRequestRoundTrip(t *testing.T) {
-	for name, r := range binaryRequestCases() {
-		t.Run(name, func(t *testing.T) {
-			frame, err := EncodeBinaryRequest(r)
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			got, err := ParseBinaryRequest(frame)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			if !reflect.DeepEqual(got, r) {
-				t.Fatalf("round trip:\n got %+v\nwant %+v", got, r)
-			}
-			// Canonical: re-encoding the parse reproduces the frame
-			// byte for byte (this is what catches a lost −0 sign bit,
-			// which DeepEqual's −0 == +0 cannot).
-			again, err := EncodeBinaryRequest(got)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			if !bytes.Equal(frame, again) {
-				t.Fatalf("re-encode differs:\n got %x\nwant %x", again, frame)
-			}
-
-			// Pooled zero-copy parse sees the same request.
-			br := AcquireBinaryRequest()
-			defer br.Release()
-			if err := br.ParseFrame(frame); err != nil {
-				t.Fatalf("pooled parse: %v", err)
-			}
-			if !reflect.DeepEqual(&br.Request, r) {
-				t.Fatalf("pooled parse:\n got %+v\nwant %+v", &br.Request, r)
-			}
-		})
+// encodeFrame is the inverse of parseFrame.
+func encodeFrame(v any) ([]byte, error) {
+	switch v := v.(type) {
+	case LocationUpdate:
+		return AppendLocation(nil, v), nil
+	case ServiceCall:
+		return AppendServiceCall(nil, v)
+	case DecisionFrame:
+		return AppendDecision(nil, v), nil
 	}
+	return nil, fmt.Errorf("no encoder for %T", v)
 }
 
-func TestBinaryResponseRoundTrip(t *testing.T) {
-	cases := []*Response{
-		{ID: 42, Service: "weather", Payload: map[string]string{"temp": "21", "sky": "clear"}},
-		{ID: -1, Service: "s"},
-		{ID: 0, Service: "täxi", Payload: map[string]string{"a&b": "c=d"}},
+// checkRoundTrip encodes v, parses the frame back, and requires the
+// parse to equal v and to re-encode to the same bytes, so a lost −0
+// sign bit fails twice over.
+func checkRoundTrip(t *testing.T, v any) {
+	t.Helper()
+	frame, err := encodeFrame(v)
+	if err != nil {
+		t.Fatalf("encode %+v: %v", v, err)
 	}
-	for _, r := range cases {
-		frame, err := EncodeBinaryResponse(r)
-		if err != nil {
-			t.Fatalf("encode %v: %v", r, err)
-		}
-		got, err := ParseBinaryResponse(frame)
-		if err != nil {
-			t.Fatalf("parse %v: %v", r, err)
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, r)
-		}
+	got, err := parseFrame(frame)
+	if err != nil {
+		t.Fatalf("parse %+v: %v", v, err)
 	}
-	if _, err := EncodeBinaryResponse(&Response{ID: 1}); err == nil {
-		t.Fatal("empty service encoded")
+	if !sameValue(got, v) {
+		t.Fatalf("round trip:\n got %#v\nwant %#v", got, v)
+	}
+	again, err := encodeFrame(got)
+	if err != nil {
+		t.Fatalf("re-encode %+v: %v", got, err)
+	}
+	if !bytes.Equal(frame, again) {
+		t.Fatalf("re-encode differs:\n got %x\nwant %x", again, frame)
 	}
 }
 
@@ -137,74 +80,70 @@ func TestLocationRoundTrip(t *testing.T) {
 		{User: 0, X: 5e-324, Y: -1e300, T: 99},
 	}
 	for _, l := range cases {
-		frame := AppendLocation(nil, l)
-		got, err := ParseLocation(frame)
-		if err != nil {
-			t.Fatalf("parse %+v: %v", l, err)
-		}
-		if got != l {
-			t.Fatalf("round trip: got %+v want %+v", got, l)
-		}
+		checkRoundTrip(t, l)
 	}
 	// Non-finite coordinates encode (IEEE path) but the parser rejects
 	// them, mirroring Request.Validate.
 	for _, bad := range []LocationUpdate{{X: math.NaN()}, {Y: math.Inf(1)}} {
-		if _, err := ParseLocation(AppendLocation(nil, bad)); err == nil {
+		if _, err := parseFrame(AppendLocation(nil, bad)); err == nil {
 			t.Fatalf("non-finite location %+v parsed", bad)
 		}
 	}
 }
 
 func TestServiceCallRoundTrip(t *testing.T) {
-	cases := []ServiceCall{
-		{User: 7, X: 100.25, Y: -50.5, T: 1234, Service: "weather", Data: map[string]string{"q": "now"}},
-		{User: 0, X: 0, Y: 0, T: 0, Service: "s", Traceparent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
-		{User: -3, X: math.Pi, Y: 2, T: -7, Service: "täxi"},
+	cases := map[string]ServiceCall{
+		"basic": {User: 7, X: 100.25, Y: -50.5, T: 1234, Service: "weather", Data: map[string]string{"q": "now"}},
+		"empty data": {User: 0, X: 0, Y: 0, T: 0, Service: "s",
+			Traceparent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
+		"irrational coords": {User: -3, X: math.Pi, Y: 2, T: -7, Service: "täxi"},
+		"unicode strings": {User: 1 << 60, X: -1, Y: 1, T: 5, Service: "täxi service",
+			Data: map[string]string{"a b": "c&d", "ключ": "значение", "~": "="}},
 	}
-	for _, c := range cases {
-		frame, err := AppendServiceCall(nil, c)
-		if err != nil {
-			t.Fatalf("encode %+v: %v", c, err)
-		}
-		got, err := ParseServiceCall(frame)
-		if err != nil {
-			t.Fatalf("parse %+v: %v", c, err)
-		}
-		if !reflect.DeepEqual(got, c) {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, c)
-		}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) { checkRoundTrip(t, c) })
 	}
 	if _, err := AppendServiceCall(nil, ServiceCall{User: 1}); err == nil {
 		t.Fatal("empty service encoded")
 	}
+	if _, err := AppendServiceCall(nil, ServiceCall{User: 1, Service: "s", Data: map[string]string{"": "v"}}); err == nil {
+		t.Fatal("empty data key encoded")
+	}
 }
 
+// TestDecisionRoundTrip covers every decision bit and string field.
 func TestDecisionRoundTrip(t *testing.T) {
-	cases := []DecisionFrame{
-		{},
-		{Forwarded: true, Generalized: true, HKAnonymity: true, Unlinked: true,
+	cases := map[string]DecisionFrame{
+		"empty": {},
+		"basic": {Forwarded: true, Generalized: true, HKAnonymity: true, Unlinked: true,
 			MatchedLBQID: "home", TraceID: "0123456789abcdef0123456789abcdef", Pseudonym: "p-9",
-			HasContext: true,
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: 1, MinY: 2, MaxX: 3, MaxY: 4},
-				Time: geo.Interval{Start: 5, End: 6},
-			}},
-		{Suppressed: true, AtRisk: true, QIDExposed: true, DegradedReason: "outbox saturated"},
-		{Degraded: true, HasContext: true,
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: math.Pi, MinY: 0, MaxX: 4, MaxY: 1},
-				Time: geo.Interval{Start: -1, End: 1},
-			}},
+			HasContext: true, Context: box(1, 2, 3, 4, 5, 6)},
+		"suppressed": {Suppressed: true, AtRisk: true, QIDExposed: true, DegradedReason: "outbox saturated"},
+		"degraded":   {Degraded: true, HasContext: true, Context: box(math.Pi, 0, 4, 1, -1, 1)},
+		"unicode strings": {Forwarded: true, MatchedLBQID: "täxi route", Pseudonym: "αβ γ=δ&ε",
+			HasContext: true, Context: box(-1, -1, 1, 1, 0, 0)},
 	}
-	for _, d := range cases {
-		frame := AppendDecision(nil, d)
-		got, err := ParseDecision(frame)
-		if err != nil {
-			t.Fatalf("parse %+v: %v", d, err)
-		}
-		if got != d {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, d)
-		}
+	for name, d := range cases {
+		t.Run(name, func(t *testing.T) { checkRoundTrip(t, d) })
+	}
+}
+
+// TestDecisionContextRoundTrip puts in the forwarded context box a
+// lattice box for the fixed-point path and the extreme values a float64
+// or int64 can take: irrational, ±1e300/MaxFloat64, denormal and −0
+// coordinates, MinInt64..MaxInt64 times.
+func TestDecisionContextRoundTrip(t *testing.T) {
+	cases := map[string]geo.STBox{
+		"basic":             box(100.25, -50.5, 200.75, 50.5, 1000, 2000),
+		"irrational coords": box(math.Pi, math.E, 4, 3, math.MinInt64, math.MaxInt64),
+		"huge coords":       box(-1e300, -math.MaxFloat64, 1e300, math.MaxFloat64, 0, 1),
+		"denormal coords":   box(-5e-324, 0, 5e-324, 1e-300, 0, 1),
+		"negative zero":     box(math.Copysign(0, -1), math.Copysign(0, -1), 0, 1, 0, 1),
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkRoundTrip(t, DecisionFrame{Forwarded: true, Pseudonym: "p", HasContext: true, Context: c})
+		})
 	}
 }
 
@@ -239,7 +178,9 @@ func TestFixedCoordSelection(t *testing.T) {
 // header, varint, length and canonicality abuse; every case must fail
 // cleanly.
 func TestBinaryParseRejectsMalformed(t *testing.T) {
-	good, err := EncodeBinaryRequest(mkReq())
+	good, err := AppendServiceCall(nil, ServiceCall{
+		User: 7, X: 100.25, Y: -50.5, T: 1234, Service: "weather", Data: map[string]string{"q": "now"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,102 +195,77 @@ func TestBinaryParseRejectsMalformed(t *testing.T) {
 		"bad version":     corrupt(func(b []byte) []byte { b[2] = 9; return b }),
 		"unknown flags":   corrupt(func(b []byte) []byte { b[4] |= 0x80; return b }),
 		"truncated body":  good[:len(good)-3],
-		"trailing bytes":  append(append([]byte(nil), good...), 0xff),
 		"length too big":  corrupt(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[5:9], 1<<28); return b }),
 		"length over max": corrupt(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[5:9], MaxFrameBytes+1); return b }),
 		"length lies short": corrupt(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[5:9], binary.LittleEndian.Uint32(b[5:9])-1)
 			return b
 		}),
-		"wrong type": corrupt(func(b []byte) []byte { b[3] = byte(FrameResponse); return b }),
 	}
 	for name, frame := range cases {
-		if _, err := ParseBinaryRequest(frame); err == nil {
+		if _, err := parseFrame(frame); err == nil {
 			t.Errorf("%s: parsed", name)
 		}
 	}
 
 	// Payload-level abuse, rebuilt by hand around the real header.
-	payload := func(build func() []byte) []byte {
-		p := build()
-		f, lenAt := appendHeader(nil, FrameRequest, 0)
+	frame := func(p []byte) []byte {
+		f, lenAt := appendHeader(nil, FrameServiceCall, 0)
 		f = append(f, p...)
 		return patchLength(f, lenAt)
 	}
-	body := func(tail []byte) []byte {
-		// id, pseudonym "p", service "s", 4 IEEE coords, start, end
+	// call encodes user 1 at IEEE coordinates (x, y), time 0, the given
+	// service and an empty traceparent, then tail (the data map).
+	call := func(x, y float64, service string, tail []byte) []byte {
 		p := appendVarint(nil, 1)
-		p = appendString(p, "p")
-		p = appendString(p, "s")
-		for _, v := range []float64{0, 0, 1, 1} {
-			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-		}
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(x))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(y))
 		p = appendVarint(p, 0)
-		p = appendVarint(p, 1)
+		p = appendString(p, service)
+		p = appendString(p, "")
 		return append(p, tail...)
 	}
+	body := func(tail []byte) []byte { return call(0, 1, "s", tail) }
 	payloadCases := map[string][]byte{
-		"non-minimal varint": payload(func() []byte {
-			return body([]byte{0x80, 0x00}) // data count 0 in two bytes
-		}),
-		"varint too long": payload(func() []byte {
-			return body([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-		}),
-		"string over-read": payload(func() []byte {
+		"non-minimal varint": frame(body([]byte{0x80, 0x00})), // data count 0 in two bytes
+		"varint too long":    frame(body([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})),
+		"string over-read": frame(func() []byte {
 			p := appendVarint(nil, 1)
-			p = appendUvarint(p, 1000) // pseudonym claims 1000 bytes
-			return append(p, 'p')
-		}),
-		"data count lies": payload(func() []byte {
-			return body(appendUvarint(nil, 100))
-		}),
-		"empty data key": payload(func() []byte {
+			p = binary.LittleEndian.AppendUint64(p, 0)
+			p = binary.LittleEndian.AppendUint64(p, 0)
+			p = appendVarint(p, 0)
+			p = appendUvarint(p, 1000) // service claims 1000 bytes
+			return append(p, 's')
+		}()),
+		"data count lies": frame(body(appendUvarint(nil, 100))),
+		"empty data key": frame(func() []byte {
 			p := body(appendUvarint(nil, 1))
 			p = appendString(p, "")
 			return appendString(p, "v")
-		}),
-		"unsorted data keys": payload(func() []byte {
+		}()),
+		"unsorted data keys": frame(func() []byte {
 			p := body(appendUvarint(nil, 2))
 			p = appendString(p, "b")
 			p = appendString(p, "1")
 			p = appendString(p, "a")
 			return appendString(p, "2")
-		}),
-		"duplicate data keys": payload(func() []byte {
+		}()),
+		"duplicate data keys": frame(func() []byte {
 			p := body(appendUvarint(nil, 2))
 			p = appendString(p, "a")
 			p = appendString(p, "1")
 			p = appendString(p, "a")
 			return appendString(p, "2")
-		}),
-		"trailing payload": payload(func() []byte {
-			return body(append(appendUvarint(nil, 0), 0xde, 0xad))
-		}),
-		"empty pseudonym": payload(func() []byte {
-			p := appendVarint(nil, 1)
-			p = appendString(p, "")
-			p = appendString(p, "s")
-			for _, v := range []float64{0, 0, 1, 1} {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-			p = appendVarint(p, 0)
-			p = appendVarint(p, 1)
-			return appendUvarint(p, 0)
-		}),
-		"nan coordinate": payload(func() []byte {
-			p := appendVarint(nil, 1)
-			p = appendString(p, "p")
-			p = appendString(p, "s")
-			for _, v := range []float64{math.NaN(), 0, 1, 1} {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-			p = appendVarint(p, 0)
-			p = appendVarint(p, 1)
-			return appendUvarint(p, 0)
-		}),
+		}()),
+		"trailing payload": frame(body(append(appendUvarint(nil, 0), 0xde, 0xad))),
+		"empty service":    frame(call(0, 1, "", appendUvarint(nil, 0))),
+		"nan coordinate":   frame(call(math.NaN(), 1, "s", appendUvarint(nil, 0))),
 	}
-	for name, frame := range payloadCases {
-		if _, err := ParseBinaryRequest(frame); err == nil {
+	if _, err := parseFrame(frame(body(appendUvarint(nil, 0)))); err != nil {
+		t.Fatalf("hand-built well-formed call rejected: %v", err)
+	}
+	for name, f := range payloadCases {
+		if _, err := parseFrame(f); err == nil {
 			t.Errorf("%s: parsed", name)
 		}
 	}
@@ -361,7 +277,7 @@ func TestBinaryParseRejectsMalformed(t *testing.T) {
 	f = appendVarint(f, 0)
 	f = appendVarint(f, 0)
 	f = patchLength(f, lenAt)
-	if _, err := ParseLocation(f); err == nil {
+	if _, err := parseFrame(f); err == nil {
 		t.Error("out-of-range fixed-point coordinate parsed")
 	}
 }
@@ -371,84 +287,35 @@ func TestBatchRoundTrip(t *testing.T) {
 	var want []any
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		switch i % 4 {
+		var v any
+		switch i % 3 {
 		case 0:
-			l := LocationUpdate{User: int64(i), X: float64(rng.Intn(1000)) / 4, Y: -float64(i), T: int64(i * 10)}
-			frames = AppendLocation(frames, l)
-			want = append(want, l)
+			v = LocationUpdate{User: int64(i), X: float64(rng.Intn(1000)) / 4, Y: -float64(i), T: int64(i * 10)}
 		case 1:
-			c := ServiceCall{User: int64(i), X: rng.Float64(), Y: rng.Float64(), T: int64(i), Service: "svc", Data: map[string]string{"i": "x"}}
-			var err error
-			frames, err = AppendServiceCall(frames, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, c)
+			v = ServiceCall{User: int64(i), X: rng.Float64(), Y: rng.Float64(), T: int64(i), Service: "svc", Data: map[string]string{"i": "x"}}
 		case 2:
-			r := mkReq()
-			r.ID = MsgID(i)
-			var err error
-			frames, err = AppendBinaryRequest(frames, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, r)
-		case 3:
-			d := DecisionFrame{Forwarded: i%8 == 3, Pseudonym: "p", TraceID: "t"}
-			frames = AppendDecision(frames, d)
-			want = append(want, d)
+			v = DecisionFrame{Forwarded: i%6 == 2, Pseudonym: "p", TraceID: "t",
+				HasContext: true, Context: box(rng.Float64(), 0, 2, 1, int64(i), int64(i+60))}
 		}
+		frame, err := encodeFrame(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame...)
+		want = append(want, v)
 	}
 	batch, err := AppendBatch(nil, len(want), frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewBatchDecoder(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Count() != len(want) {
-		t.Fatalf("count %d want %d", dec.Count(), len(want))
-	}
-	i := 0
-	for dec.Next() {
-		var got any
-		var err error
-		switch dec.Type() {
-		case FrameLocation:
-			got, err = ParseLocationPayload(dec.Flags(), dec.Payload())
-		case FrameServiceCall:
-			got, err = ParseServiceCallPayload(dec.Flags(), dec.Payload())
-		case FrameRequest:
-			r := new(Request)
-			err = parseRequestPayload(dec.Flags(), dec.Payload(), requestDst{r: r, copy: true})
-			got = r
-		case FrameDecision:
-			got, err = ParseDecisionPayload(dec.Flags(), dec.Payload())
-		default:
-			t.Fatalf("frame %d: unexpected type %s", i, dec.Type())
-		}
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("frame %d:\n got %+v\nwant %+v", i, got, want[i])
-		}
-		i++
-	}
-	if err := dec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if i != len(want) {
-		t.Fatalf("decoded %d frames, want %d", i, len(want))
-	}
+	checkBatchEquals(t, batch, want)
 
 	// Nested batches are rejected.
 	nested, err := AppendBatch(nil, 1, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err = NewBatchDecoder(nested)
+	dec, err := NewBatchDecoder(nested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,28 +332,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	if _, err := NewBatchDecoder(lie); err == nil {
 		t.Fatal("lying batch count accepted")
-	}
-}
-
-// TestBinaryParseZeroAlloc is the tentpole's allocation guard: the
-// pooled zero-copy request parse must not allocate at all.
-func TestBinaryParseZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are skewed under the race detector")
-	}
-	frame, err := EncodeBinaryRequest(mkReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := AcquireBinaryRequest()
-	defer br.Release()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := br.ParseFrame(frame); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled binary parse allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -524,42 +369,39 @@ func TestBatchDecodeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBinaryRandomizedRoundTrip round-trips seeded random requests
-// through the binary codec: the parse must equal the input, and
-// re-encoding it must reproduce the frame byte for byte.
+// TestBinaryRandomizedRoundTrip round-trips seeded random decision
+// contexts and service-call data maps through the binary codec: the
+// parse must equal the input, and re-encoding it must reproduce the
+// frame byte for byte.
 func TestBinaryRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		r := &Request{
-			ID:        MsgID(rng.Int63() - rng.Int63()),
-			Pseudonym: Pseudonym(randString(rng)),
-			Service:   randString(rng),
-		}
 		minx, miny := randCoord(rng), randCoord(rng)
-		r.Context.Area = geo.Rect{MinX: minx, MinY: miny, MaxX: minx + math.Abs(randCoord(rng)), MaxY: miny + math.Abs(randCoord(rng))}
 		start := rng.Int63n(1 << 40)
-		r.Context.Time = geo.Interval{Start: start, End: start + rng.Int63n(10000)}
+		d := DecisionFrame{
+			Forwarded:    true,
+			Generalized:  rng.Intn(2) == 0,
+			HKAnonymity:  rng.Intn(2) == 0,
+			MatchedLBQID: randString(rng),
+			TraceID:      randString(rng),
+			Pseudonym:    randString(rng),
+			HasContext:   true,
+			Context: box(minx, miny, minx+math.Abs(randCoord(rng)), miny+math.Abs(randCoord(rng)),
+				start, start+rng.Int63n(10000)),
+		}
+		c := ServiceCall{
+			User:        rng.Int63() - rng.Int63(),
+			X:           randCoord(rng),
+			Y:           randCoord(rng),
+			T:           start,
+			Service:     randString(rng),
+			Traceparent: randString(rng),
+		}
 		if rng.Intn(2) == 0 {
-			r.Data = map[string]string{randString(rng): randString(rng), "z" + randString(rng): ""}
+			c.Data = map[string]string{randString(rng): randString(rng), "z" + randString(rng): ""}
 		}
-		frame, err := EncodeBinaryRequest(r)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		got, err := ParseBinaryRequest(frame)
-		if err != nil {
-			t.Fatalf("case %d: parse: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("case %d: round trip:\n got %+v\nwant %+v", i, got, r)
-		}
-		again, err := EncodeBinaryRequest(got)
-		if err != nil {
-			t.Fatalf("case %d: re-encode: %v", i, err)
-		}
-		if !bytes.Equal(frame, again) {
-			t.Fatalf("case %d: re-encode differs:\n got %x\nwant %x", i, again, frame)
-		}
+		checkRoundTrip(t, d)
+		checkRoundTrip(t, c)
 	}
 }
 

@@ -7,6 +7,9 @@
 // request; a service provider sees only this generalized form. The
 // package sits at the bottom of the dependency graph so that the TS, the
 // SP/attacker, and the linkability tooling can all share the type.
+// Requests and responses pass between TS and SP in memory; the binary
+// codec here (binary.go, batch.go) carries only the device→TS batch
+// channel.
 package wire
 
 import (
@@ -45,7 +48,8 @@ func (r *Request) String() string {
 }
 
 // Validate reports whether r is a well-formed request: non-empty
-// pseudonym and service, and a valid, finite context box.
+// pseudonym and service, a valid, finite context box, and a data map
+// that passes ValidateData.
 func (r *Request) Validate() error {
 	if r.Pseudonym == "" {
 		return fmt.Errorf("wire: empty pseudonym")
@@ -60,6 +64,16 @@ func (r *Request) Validate() error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("wire: non-finite context coordinate %v", v)
 		}
+	}
+	return ValidateData(r.Data)
+}
+
+// ValidateData reports whether m is a well-formed data map: no key is
+// empty. The binary parser rejects an empty key, so both ingest
+// channels refuse a service call whose data has one.
+func ValidateData(m map[string]string) error {
+	if _, ok := m[""]; ok {
+		return fmt.Errorf("wire: empty data key")
 	}
 	return nil
 }

