@@ -7,6 +7,7 @@ package phl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,33 +44,42 @@ func (h *History) Len() int { return len(h.pts) }
 // Append adds a sample. Samples usually arrive in time order; an
 // out-of-order sample is inserted at its sorted position. The insert
 // shifts samples in place unless a view may see them; then it goes into
-// a copy of the same capacity.
+// a fresh array of the same capacity. A full array moves to a fresh one
+// of grow(n) samples. Fresh arrays are rounded up to the allocator's
+// size class.
 func (h *History) Append(p geo.STPoint) {
 	if h.view.Load() != nil {
 		h.view.Store(nil)
 		h.shared = true
 	}
 	n := len(h.pts)
-	if n == cap(h.pts) {
-		h.shared = false // append moves pts to an array no view has seen
-	}
+	i := n // p's sorted position: after every sample at or before p.T
 	if n == 0 || h.last <= p.T {
-		h.pts = append(h.pts, p)
 		h.last = p.T
-		return
+	} else {
+		i = sort.Search(n, func(i int) bool { return h.pts[i].T > p.T })
 	}
-	i := sort.Search(n, func(i int) bool { return h.pts[i].T > p.T })
-	if h.shared {
-		pts := make([]geo.STPoint, n+1, cap(h.pts))
+	if c := cap(h.pts); n == c || (i < n && h.shared) {
+		if n == c {
+			c = grow(n)
+		}
+		pts := slices.Grow([]geo.STPoint(nil), c)[:n+1]
 		copy(pts, h.pts[:i])
-		pts[i] = p
 		copy(pts[i+1:], h.pts[i:])
-		h.pts, h.shared = pts, false
-		return
+		h.pts, h.shared = pts, false // no view has seen the new array
+	} else {
+		h.pts = h.pts[:n+1]
+		copy(h.pts[i+1:], h.pts[i:n])
 	}
-	h.pts = append(h.pts, geo.STPoint{})
-	copy(h.pts[i+1:], h.pts[i:])
 	h.pts[i] = p
+}
+
+// grow returns the capacity a full array of n samples moves to: double
+// while it is small, then add max(32, n/8) samples, so a long history
+// carries about an eighth of its length as slack (plus the allocator's
+// rounding), where append's doubling leaves up to its whole length.
+func grow(n int) int {
+	return n + max(1, min(n, max(32, n/8)))
 }
 
 // View returns a read-only History holding h's current samples. It

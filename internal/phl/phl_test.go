@@ -3,6 +3,8 @@ package phl
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,6 +282,137 @@ func TestHistoryFromPointsAppendKeepsOrder(t *testing.T) {
 	}
 	if v.Len() != 3 || v.At(2).T != 30 {
 		t.Fatalf("view changed: %v", v.Points())
+	}
+}
+
+// A view taken at any length survives each way an Append touches the
+// array: an in-order append (which grows a full array), an
+// out-of-order insert into a full array (which grows it) and one into
+// an array with room that the view shares (which copies it, at the same
+// capacity). The view keeps its samples and no spare capacity, and the
+// History stays time-sorted with arrival-order ties.
+func TestHistoryViewsSurviveGrowth(t *testing.T) {
+	// Sample i is the i-th to arrive (X = i); pairs share a T.
+	sample := func(i int) geo.STPoint { return pt(float64(i), 0, int64(10*(i/2))) }
+	withCap := func(n, c int) *History {
+		pts := make([]geo.STPoint, n, c)
+		for i := range pts {
+			pts[i] = sample(i)
+		}
+		return HistoryFromPoints(pts)
+	}
+	var appended History // grows by in-order appends only
+	appended.Append(sample(0))
+	for n := 1; n <= 300; n++ {
+		// Older than the newest sample; from n = 3 on it ties an
+		// earlier pair and belongs right after it.
+		early := pt(float64(n), 0, int64(10*((n-1)/2-1)))
+		cases := []struct {
+			name   string
+			h      *History
+			p      geo.STPoint
+			maxCap int // the history's capacity after, when bounded here
+		}{
+			{"in-order append", &appended, sample(n), 0},
+			{"out-of-order insert at n == cap", withCap(n, n), early, 0},
+			{"out-of-order insert at n < cap", withCap(n, n+1), early, cap(slices.Grow([]geo.STPoint(nil), n+1))},
+		}
+		for _, c := range cases {
+			v := c.h.View()
+			want := append([]geo.STPoint(nil), v.Points()...)
+			c.h.Append(c.p)
+			if v.Len() != n {
+				t.Fatalf("n=%d %s: view Len %d", n, c.name, v.Len())
+			}
+			for i, p := range v.Points() {
+				if p != want[i] {
+					t.Fatalf("n=%d %s: view sample %d changed from %+v to %+v", n, c.name, i, want[i], p)
+				}
+			}
+			if cap(v.Points()) != v.Len() {
+				t.Fatalf("n=%d %s: view exposes capacity %d past its %d samples", n, c.name, cap(v.Points()), v.Len())
+			}
+			pts := c.h.Points()
+			if len(pts) != n+1 {
+				t.Fatalf("n=%d %s: history Len %d", n, c.name, len(pts))
+			}
+			if c.maxCap > 0 && cap(pts) > c.maxCap {
+				t.Fatalf("n=%d %s: the copy grew the array to %d samples, want at most %d", n, c.name, cap(pts), c.maxCap)
+			}
+			for i := 1; i < len(pts); i++ {
+				if a, b := pts[i-1], pts[i]; a.T > b.T || a.T == b.T && a.P.X > b.P.X {
+					t.Fatalf("n=%d %s: samples %d and %d out of order: %+v, %+v", n, c.name, i-1, i, a, b)
+				}
+			}
+		}
+	}
+}
+
+// After n in-order appends the array holds at most n−1 + max(32,
+// (n−1)/8) samples, rounded up to the allocator's size class: the
+// growth rule's bound on slack. append's doubling, which holds up to
+// 2(n−1), breaks it from 65 samples on.
+func TestHistoryAppendSlackBound(t *testing.T) {
+	var h History
+	for n := 1; n <= 10000; n++ {
+		h.Append(pt(0, 0, int64(n)))
+		limit := cap(slices.Grow([]geo.STPoint(nil), n-1+max(32, (n-1)/8)))
+		if c := cap(h.Points()); c > limit {
+			t.Fatalf("after %d appends the array holds %d samples, want at most %d", n, c, limit)
+		}
+	}
+}
+
+// TestStoreHeapPerSample is the PHL's heap guard. A crowd shaped like
+// perfbench's ingest stream, recorded in time order in 512-sample runs,
+// must cost at most 30 B of live heap per 24-byte sample. The crowd's
+// 2,000 users hold what ingest's 10⁴ do (seed 1): 101–265 samples,
+// 115 at p10, 138 at the median and 164 at p90. Under append's
+// doubling most of those histories sit in 256-sample arrays, and the
+// store holds about 38 B per sample.
+func TestStoreHeapPerSample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is skewed under -race")
+	}
+	const (
+		users = 2000
+		span  = 4 * 86400
+	)
+	// ingest's per-user sample counts at these quantiles; user u takes
+	// the count at quantile (u+½)/users, interpolated.
+	quantiles := []struct {
+		q float64
+		n int
+	}{{0, 101}, {0.01, 106}, {0.1, 115}, {0.25, 125}, {0.5, 138}, {0.75, 153}, {0.9, 164}, {0.99, 209}, {1, 265}}
+	count := func(q float64) int {
+		i := sort.Search(len(quantiles), func(i int) bool { return quantiles[i].q >= q })
+		a, b := quantiles[i-1], quantiles[i]
+		return a.n + int(float64(b.n-a.n)*(q-a.q)/(b.q-a.q))
+	}
+	rng := rand.New(rand.NewSource(1))
+	var samples []Sample
+	for u := 0; u < users; u++ {
+		for i := count((float64(u) + 0.5) / users); i > 0; i-- {
+			samples = append(samples, Sample{User: UserID(u), Point: pt(rng.Float64()*2e4, rng.Float64()*2e4, rng.Int63n(span))})
+		}
+	}
+	sort.SliceStable(samples, func(i, j int) bool { return samples[i].Point.T < samples[j].Point.T })
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	for i := 0; i < len(samples); i += 512 {
+		s.RecordBatch(samples[i:min(i+512, len(samples))])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSample := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(s.NumSamples())
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(samples) // live in both readings, so not counted
+	t.Logf("%d samples, %.2f B of live heap each", s.NumSamples(), perSample)
+	if perSample > 30 {
+		t.Fatalf("the store holds %.2f B of live heap per sample, want at most 30", perSample)
 	}
 }
 

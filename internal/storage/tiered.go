@@ -960,32 +960,16 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 		d float64
 	}
 	cands := make(map[phl.UserID]cand, len(hot))
+	// kth holds the k smallest candidate distances: its bound is a valid
+	// pruning radius because the final kth distance can only be smaller.
+	kth := kSmallest{k: k}
 	for _, up := range hot {
-		cands[up.User] = cand{p: up.Point, d: m.Dist(q, up.Point)}
-	}
-	// bound is the kth-smallest known candidate distance: a valid
-	// pruning radius because the final kth distance can only be
-	// smaller. Recomputed lazily after improvements.
-	boundValid := false
-	var bound float64
-	kthBound := func() float64 {
-		if !boundValid {
-			if len(cands) < k {
-				bound = math.Inf(1)
-			} else {
-				ds := make([]float64, 0, len(cands))
-				for _, c := range cands {
-					ds = append(ds, c.d)
-				}
-				sort.Float64s(ds)
-				bound = ds[k-1]
-			}
-			boundValid = true
-		}
-		return bound
+		d := m.Dist(q, up.Point)
+		cands[up.User] = cand{p: up.Point, d: d}
+		kth.improve(math.Inf(1), d)
 	}
 	order := t.order
-	if t.coldRuledOutLocked(q, m, kthBound()) {
+	if t.coldRuledOutLocked(q, m, kth.bound()) {
 		t.coldKNNSkipped.Add(1)
 		order = nil
 	} else {
@@ -1013,7 +997,7 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 			}
 			runBox := geo.STBox{Area: run.ref.bbox, Time: geo.Interval{Start: run.ref.minT, End: effMax}}
 			lb := m.DistToBox(q, runBox)
-			if lb >= best || lb >= kthBound() {
+			if lb >= best || lb >= kth.bound() {
 				continue
 			}
 			pts, err := t.readRun(run)
@@ -1025,9 +1009,9 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 				continue
 			}
 			if p, d, ok := phl.HistoryFromPoints(pre).Closest(q, m); ok && d < best {
+				kth.improve(best, d)
 				best = d
 				cands[u] = cand{p: p, d: d}
-				boundValid = false
 			}
 		}
 	}
@@ -1053,6 +1037,45 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 		out = append(out, stindex.UserPoint{User: s.u, Point: s.c.p})
 	}
 	return out
+}
+
+// kSmallest keeps the k smallest of KNearestUsers' per-user candidate
+// distances in ascending order, updated as candidates improve one at a
+// time, so reading the k-th costs nothing.
+type kSmallest struct {
+	k  int
+	ds []float64
+}
+
+// bound returns the k-th smallest distance, or +Inf while there are
+// fewer than k candidates.
+func (s *kSmallest) bound() float64 {
+	if len(s.ds) < s.k {
+		return math.Inf(1)
+	}
+	return s.ds[s.k-1]
+}
+
+// improve records that one user's distance fell from old (+Inf for a
+// new candidate) to d.
+func (s *kSmallest) improve(old, d float64) {
+	var i int // the slot d takes before it moves to its sorted place
+	switch {
+	case len(s.ds) < s.k && math.IsInf(old, 1):
+		s.ds = append(s.ds, d)
+		i = len(s.ds) - 1
+	case old <= s.bound():
+		// old is among the k smallest: as a value, so at a tie any
+		// copy of it will do.
+		i = sort.SearchFloat64s(s.ds, old)
+	case d < s.ds[s.k-1]:
+		i = s.k - 1 // d displaces the largest
+	default:
+		return
+	}
+	j := sort.SearchFloat64s(s.ds[:i], d)
+	copy(s.ds[j+1:i+1], s.ds[j:i])
+	s.ds[j] = d
 }
 
 // StorageFaults implements ts.FaultyStorage.

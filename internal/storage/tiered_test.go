@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"histanon/internal/geo"
@@ -282,6 +284,72 @@ func TestTieredKNNColdTimeBound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTieredKNNHistoricalMatchesSortReference holds KNearestUsers'
+// cold scan to a reference that shares no code with it: each user's
+// closest sample over everything recorded, sorted by distance, then
+// user. Every query lies before the cut, so the hot grid's answer is
+// far in time and the scan improves candidate after candidate, moving
+// the k-th bound it prunes with each time.
+func TestTieredKNNHistoricalMatchesSortReference(t *testing.T) {
+	const users = 120
+	ts := mustOpen(t, Options{Dir: "store", FS: NewMemFS(), SnapshotEvery: 256, HotWindow: 600, MaxDeltas: 3, ColdCacheEntries: 4096})
+	defer ts.Close()
+	type sample struct {
+		u phl.UserID
+		p geo.STPoint
+	}
+	var data []sample
+	rng := rand.New(rand.NewSource(47))
+	randWorkload(rng, 12000, users, func(u phl.UserID, p geo.STPoint) {
+		data = append(data, sample{u, p})
+		ts.Record(u, p)
+		ts.Insert(u, p)
+	})
+	if st := ts.Stats(); st.ColdSamples < len(data)*9/10 {
+		t.Fatalf("only %d of %d samples cold", st.ColdSamples, len(data))
+	}
+	m := geo.STMetric{TimeScale: 3}
+	exclude := map[phl.UserID]bool{5: true, 77: true}
+	reference := func(q geo.STPoint, k int) []stindex.UserPoint {
+		best := map[phl.UserID]geo.STPoint{}
+		for _, s := range data {
+			if b, ok := best[s.u]; !exclude[s.u] && (!ok || m.Dist(s.p, q) < m.Dist(b, q)) {
+				best[s.u] = s.p
+			}
+		}
+		out := make([]stindex.UserPoint, 0, len(best))
+		for u, p := range best {
+			out = append(out, stindex.UserPoint{User: u, Point: p})
+		}
+		sort.Slice(out, func(i, j int) bool {
+			di, dj := m.Dist(out[i].Point, q), m.Dist(out[j].Point, q)
+			return di < dj || di == dj && out[i].User < out[j].User
+		})
+		return out[:min(k, len(out))]
+	}
+	for _, k := range []int{1, 2, 4, 28, users + 3} {
+		for trial := 0; trial < 40; trial++ {
+			q := geo.STPoint{
+				P: geo.Point{X: rng.Float64() * 5e3, Y: rng.Float64() * 5e3},
+				T: rng.Int63n(ts.cut),
+			}
+			got, want := ts.KNearestUsers(q, k, m, exclude), reference(q, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d q=%+v: got %d users, want %d; first difference at %d", k, q, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []stindex.UserPoint) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 func TestTieredRecoveryAfterClose(t *testing.T) {
