@@ -2,15 +2,10 @@
 //
 // Usage:
 //
-//	lbbench             # run the whole suite (E1..E10)
+//	lbbench             # run the whole suite (E1..E14, E-comp-frontier)
 //	lbbench -e E2,E6    # run selected experiments
 //	lbbench -md         # emit GitHub-flavored markdown instead of text
 //	lbbench -list       # list experiment ids and titles
-//	lbbench -compbench BENCH_comp.json
-//	                    # run the §E-comp suite: million-agent streaming
-//	                    # workloads over every scenario shape, plus the
-//	                    # four-approach privacy-vs-QoS comparison; writes
-//	                    # the record and prints both tables
 //
 // Timings live elsewhere: microbenchmarks are `go test -bench` targets
 // (bench_test.go and the packages' own), and end-to-end and per-layer
@@ -29,41 +24,15 @@ import (
 
 func main() {
 	var (
-		ids       = flag.String("e", "", "comma-separated experiment ids (default: all)")
-		markdown  = flag.Bool("md", false, "render markdown tables")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		compbench = flag.String("compbench", "", "run the E-comp streaming + approach-comparison benchmark and write its JSON record to this path")
+		ids      = flag.String("e", "", "comma-separated experiment ids (default: all)")
+		markdown = flag.Bool("md", false, "render markdown tables")
+		list     = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, e := range sim.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	if *compbench != "" {
-		f, err := os.Create(*compbench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep := sim.RunCompBench(sim.DefaultCompBenchOptions())
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err == nil {
-			err = sim.CompStreamTable(rep).Render(os.Stdout)
-		}
-		if err == nil {
-			err = sim.CompFrontierTable(rep).Render(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}

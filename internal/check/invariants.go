@@ -282,8 +282,8 @@ func CheckKMonotone(p *Population, q geo.STPoint, issuer phl.UserID, maxK int) e
 // CheckPseudonymRotation hammers one pseudonym manager from workers
 // goroutines (disjoint user ranges, shared manager state) and verifies
 // the unlinking contract of §6.3: a retired pseudonym is never reused —
-// every pseudonym ever issued is globally unique — and the TS-side
-// owner mapping keeps resolving retired pseudonyms to their user.
+// every pseudonym ever issued is globally unique — and every rotation
+// is counted.
 func CheckPseudonymRotation(users, rotations, workers int) error {
 	if workers < 1 {
 		workers = 1
@@ -328,10 +328,6 @@ func CheckPseudonymRotation(users, rotations, workers int) error {
 				return fmt.Errorf("pseudonym %q issued to both %v and %v", mt.p, prev, mt.u)
 			}
 			owners[mt.p] = mt.u
-			got, ok := m.Owner(mt.p)
-			if !ok || got != mt.u {
-				return fmt.Errorf("Owner(%q) = %v,%v want %v (retired pseudonyms must stay resolvable)", mt.p, got, ok, mt.u)
-			}
 		}
 	}
 	for u := 0; u < users; u++ {

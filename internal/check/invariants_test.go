@@ -103,7 +103,7 @@ func TestGeneralizationKMonotone(t *testing.T) {
 
 // TestPseudonymNeverReused is the §6.3 unlinking property: across many
 // users, rotations and concurrent workers, no pseudonym is ever issued
-// twice and retired pseudonyms stay resolvable to their owner.
+// twice and every rotation is counted.
 func TestPseudonymNeverReused(t *testing.T) {
 	if err := CheckPseudonymRotation(60, 12, 6); err != nil {
 		t.Fatal(err)

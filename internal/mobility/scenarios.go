@@ -1,9 +1,10 @@
 // Scenario registry: the named workload shapes the comparison harness
 // (internal/sim, EXPERIMENTS.md §E-comp) runs the four privacy
 // approaches against. scripts/checkexpdocs.sh greps the Name fields
-// below and cross-checks them against BENCH_comp.json and
-// EXPERIMENTS.md, so the registry is the single source of truth for
-// scenario names; DESIGN.md §11 is the prose catalog.
+// below and cross-checks them against EXPERIMENTS.md §E-comp, whose
+// frontier rows internal/sim computes from this registry, so the
+// registry is the single source of truth for scenario names;
+// DESIGN.md §11 is the prose catalog.
 
 package mobility
 

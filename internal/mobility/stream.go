@@ -81,7 +81,7 @@ type StreamConfig struct {
 
 // Stream streams per-agent trajectories without resident agent state.
 // It is immutable after NewStream and safe for concurrent AgentEvents
-// calls — the worker-pool driver in internal/sim relies on both.
+// calls (TestStreamConcurrentDeterministic checks this under -race).
 type Stream struct {
 	cfg    StreamConfig
 	cities int

@@ -2,6 +2,9 @@ package mobility
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"histanon/internal/geo"
@@ -196,4 +199,97 @@ func TestCommuteShapeMirrorsGenerate(t *testing.T) {
 	if reqs != 4 {
 		t.Fatalf("commuter weekday carried %d requests, want 4", reqs)
 	}
+}
+
+// streamPool streams every agent of s from workers goroutines that
+// claim ids from one atomic counter, so the partition is dynamic; agent
+// runs on the claiming goroutine with each id's event and request
+// counts.
+func streamPool(s *Stream, workers int, agent func(id, events, requests int)) {
+	n := s.Config().Agents
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := int(next.Add(1)) - 1; id < n; id = int(next.Add(1)) - 1 {
+				events, requests := 0, 0
+				s.AgentEvents(id, func(ev Event) {
+					events++
+					if ev.Request {
+						requests++
+					}
+				})
+				agent(id, events, requests)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestStreamConcurrentDeterministic: concurrent AgentEvents calls on one
+// Stream, partitioned dynamically, generate what one goroutine does —
+// the same events and requests for every agent. Under -race it also
+// checks that Stream is safe for concurrent AgentEvents.
+func TestStreamConcurrentDeterministic(t *testing.T) {
+	sc, _ := ScenarioByName("stadium")
+	s := NewStream(sc.Config(1500, 5))
+	var runs [2][][2]int
+	for i, workers := range []int{1, 7} {
+		perAgent := make([][2]int, s.Config().Agents)
+		streamPool(s, workers, func(id, events, requests int) {
+			perAgent[id] = [2]int{events, requests}
+		})
+		runs[i] = perAgent
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("per-agent events and requests differ between 1 and 7 goroutines")
+	}
+}
+
+// TestStreamingAgentsBoundedMemory pins Stream's memory guarantee:
+// streaming a million agents from a pool of goroutines keeps the live
+// heap O(goroutines + layout), not O(population). A materialized run
+// at this scale would hold gigabytes of events; the bound here is two
+// orders of magnitude below that.
+func TestStreamingAgentsBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-agent stream in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("1M-agent stream under the race detector")
+	}
+	const agents = 1_000_000
+	sc, _ := ScenarioByName("rural")
+	s := NewStream(sc.Config(agents, 1))
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var mu sync.Mutex
+	peak := before.HeapAlloc
+	var streamed, events atomic.Int64
+	streamPool(s, 4, func(id, n, _ int) {
+		streamed.Add(1)
+		events.Add(int64(n))
+		if id%10_000 != 0 {
+			return
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mu.Lock()
+		peak = max(peak, ms.HeapAlloc)
+		mu.Unlock()
+	})
+	if got := streamed.Load(); got != agents {
+		t.Fatalf("streamed %d agents, want %d", got, agents)
+	}
+	if events.Load() < agents {
+		t.Fatalf("implausibly few events: %d", events.Load())
+	}
+	growth := float64(peak-before.HeapAlloc) / (1 << 20)
+	if growth > 128 {
+		t.Fatalf("peak heap grew %.1f MB over baseline — not O(goroutines)", growth)
+	}
+	t.Logf("1M agents, %d events, peak heap growth %.1f MB", events.Load(), growth)
 }

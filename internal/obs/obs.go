@@ -69,15 +69,6 @@ const (
 	MetricWireDecodeErrors = "histanon_wire_decode_errors_total"
 	MetricWireBatchFrames  = "histanon_wire_batch_frames"
 
-	// Streaming-workload driver families (internal/sim
-	// StreamStats.RegisterMetrics): the million-agent scenario generator
-	// feeding the batch ingest path during -compbench runs.
-	MetricSimStreamAgents   = "histanon_sim_stream_agents_total"
-	MetricSimStreamEvents   = "histanon_sim_stream_events_total"
-	MetricSimStreamRequests = "histanon_sim_stream_requests_total"
-	MetricSimStreamBatches  = "histanon_sim_stream_batches_total"
-	MetricSimStreamBytes    = "histanon_sim_stream_bytes_total"
-
 	// Durable tiered-storage families (internal/storage TieredStore):
 	// WAL durability, snapshot chain maintenance, hot/cold demotion and
 	// the cold read path.

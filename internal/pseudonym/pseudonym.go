@@ -17,8 +17,7 @@ type Manager struct {
 	mu      sync.Mutex
 	seq     int64
 	current map[phl.UserID]wire.Pseudonym
-	// owner resolves retired pseudonyms too; rotations counts them.
-	owner     map[wire.Pseudonym]phl.UserID
+	// rotations counts each user's retired pseudonyms.
 	rotations map[phl.UserID]int
 }
 
@@ -26,7 +25,6 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{
 		current:   make(map[phl.UserID]wire.Pseudonym),
-		owner:     make(map[wire.Pseudonym]phl.UserID),
 		rotations: make(map[phl.UserID]int),
 	}
 }
@@ -41,13 +39,13 @@ func (m *Manager) Current(u phl.UserID) wire.Pseudonym {
 	}
 	p := m.fresh()
 	m.current[u] = p
-	m.owner[p] = u
 	return p
 }
 
 // Rotate replaces the user's pseudonym, returning the old and the new
-// one. The old pseudonym is never reused, and the manager remembers it
-// belonged to u (only the TS holds this mapping; SPs never see it).
+// one. The old pseudonym is never reused. The manager keeps only the
+// user's current pseudonym and rotation count, so its state stays one
+// entry per user however often users rotate.
 func (m *Manager) Rotate(u phl.UserID) (old, fresh wire.Pseudonym) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -57,16 +55,7 @@ func (m *Manager) Rotate(u phl.UserID) (old, fresh wire.Pseudonym) {
 	}
 	fresh = m.fresh()
 	m.current[u] = fresh
-	m.owner[fresh] = u
 	return old, fresh
-}
-
-// Owner resolves a pseudonym (current or retired) to its user.
-func (m *Manager) Owner(p wire.Pseudonym) (phl.UserID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	u, ok := m.owner[p]
-	return u, ok
 }
 
 // Rotations returns how many times the user's pseudonym has been

@@ -50,18 +50,6 @@ func TestRotateWithoutPrior(t *testing.T) {
 	}
 }
 
-func TestOwnerResolvesRetired(t *testing.T) {
-	m := NewManager()
-	p := m.Current(3)
-	m.Rotate(3)
-	if u, ok := m.Owner(p); !ok || u != 3 {
-		t.Fatalf("Owner(%q)=%v,%v", p, u, ok)
-	}
-	if _, ok := m.Owner("nope"); ok {
-		t.Fatal("unknown pseudonym must not resolve")
-	}
-}
-
 func TestUniquenessAcrossRotations(t *testing.T) {
 	m := NewManager()
 	seen := map[string]bool{}
@@ -94,15 +82,13 @@ func TestConcurrent(t *testing.T) {
 				if i%10 == 0 {
 					m.Rotate(u)
 				}
-				m.Owner(m.Current(u))
 			}
 		}(g)
 	}
 	wg.Wait()
-	// All current pseudonyms must still resolve to their users.
-	for u := phl.UserID(0); u < 5; u++ {
-		if got, ok := m.Owner(m.Current(u)); !ok || got != u {
-			t.Fatalf("owner of current pseudonym of %v = %v,%v", u, got, ok)
-		}
+	// Every goroutine rotated user 0 (i%10 == 0 implies i%5 == 0) 20
+	// times, each after a Current: no rotation may be lost.
+	if got := m.Rotations(0); got != 8*20 {
+		t.Fatalf("Rotations(0) = %d, want %d", got, 8*20)
 	}
 }

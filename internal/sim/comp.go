@@ -18,266 +18,71 @@
 // across each pseudonym's forwarded boxes (the internal/sp attack
 // primitive); cross-rotation linkability uses internal/link's Tracking
 // attacker. QoS is suppression, cloak area and deferral latency.
-//
-// RunCompBench also measures the million-agent streaming rows (the
-// tentpole: StreamDriver generate + ingest). cmd/lbbench -compbench
-// writes BENCH_comp.json; the E-comp-stream / E-comp-frontier
-// experiments re-render the checked-in record so `lbbench -md`
-// regenerates EXPERIMENTS.md §E-comp byte-for-byte without re-running
-// minutes of benchmark.
 
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
 	"sort"
-	"time"
 
 	"histanon/internal/baseline"
 	"histanon/internal/generalize"
 	"histanon/internal/geo"
-	"histanon/internal/httpapi"
 	"histanon/internal/link"
 	"histanon/internal/mixzone"
 	"histanon/internal/mobility"
 	"histanon/internal/phl"
 	"histanon/internal/stindex"
 	"histanon/internal/tgran"
-	"histanon/internal/ts"
 	"histanon/internal/wire"
 )
 
-// CompBenchRecord is the checked-in record's filename.
-const CompBenchRecord = "BENCH_comp.json"
+// The frontier's sizes. The comparison workloads are materialized (the
+// attacks need the full PHL); compCaps bounds the O(users × boxes)
+// LT-consistency attack and the achieved-k sample, and the table notes
+// state every value.
+const (
+	compSeed   = 1
+	compK      = 5
+	compAgents = 800
+	compDays   = 2
+)
 
-// StreamRow is one million-agent streaming measurement.
-type StreamRow struct {
-	Scenario     string  `json:"scenario"`
-	Mode         string  `json:"mode"` // "generate" or "ingest"
-	Agents       int     `json:"agents"`
-	Events       int64   `json:"events"`
-	Requests     int64   `json:"requests"`
-	Workers      int     `json:"workers"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	PeakHeapMB   float64 `json:"peak_heap_mb"`
-	Seconds      float64 `json:"seconds"`
-}
+var compCaps = attackCaps{users: 250, boxes: 8, measure: 1200}
 
-// CompRow is one (scenario, approach) cell of the privacy-vs-QoS
+// compRow is one (scenario, approach) cell of the privacy-vs-QoS
 // frontier.
-type CompRow struct {
-	Scenario string `json:"scenario"`
-	Approach string `json:"approach"`
-	Requests int    `json:"requests"`
+type compRow struct {
+	Scenario string
+	Approach string
+	Requests int
 	// QoS side.
-	ForwardedPct  float64 `json:"forwarded_pct"`
-	SuppressedPct float64 `json:"suppressed_pct"`
-	MeanAreaKm2   float64 `json:"mean_area_km2"`
-	MeanDeferS    float64 `json:"mean_defer_s"`
+	ForwardedPct  float64
+	SuppressedPct float64
+	MeanAreaKm2   float64
+	MeanDeferS    float64
 	// Privacy side.
-	KP5         float64 `json:"achieved_k_p5"`
-	KP50        float64 `json:"achieved_k_p50"`
-	BelowKPct   float64 `json:"below_k_pct"`
-	ReidPct     float64 `json:"reid_pct"`
-	MeanAnonSet float64 `json:"mean_anonymity_set"`
+	KP5         float64
+	KP50        float64
+	BelowKPct   float64
+	ReidPct     float64
+	MeanAnonSet float64
 	// LinkP95 is the cross-rotation tracking linkability (internal/link)
 	// at the 95th percentile; -1 for approaches without rotations.
-	LinkP95 float64 `json:"link_p95"`
+	LinkP95 float64
 }
 
-// CompBenchReport is the machine-readable E-comp record
-// (BENCH_comp.json).
-type CompBenchReport struct {
-	GOMAXPROCS   int         `json:"gomaxprocs"`
-	K            int         `json:"k"`
-	CompAgents   int         `json:"comp_agents"`
-	CompDays     int         `json:"comp_days"`
-	StreamAgents int         `json:"stream_agents"`
-	AttackUsers  int         `json:"attack_users"`
-	AttackBoxes  int         `json:"attack_boxes"`
-	MeasureReqs  int         `json:"measure_requests"`
-	StreamRows   []StreamRow `json:"stream_rows"`
-	CompRows     []CompRow   `json:"comp_rows"`
-}
-
-// WriteJSON emits the report for BENCH-style records.
-func (r CompBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// LoadCompBench reads a checked-in BENCH_comp.json record.
-func LoadCompBench(path string) (CompBenchReport, error) {
-	var rep CompBenchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	err = json.Unmarshal(data, &rep)
-	return rep, err
-}
-
-// CompBenchOptions sizes a RunCompBench run. The zero value is not
-// usable; start from DefaultCompBenchOptions.
-type CompBenchOptions struct {
-	// Seed drives every workload.
-	Seed int64
-	// K is the anonymity target shared by all approaches.
-	K int
-	// CompAgents and CompDays size the comparison workloads (these are
-	// materialized: the attacks need the full PHL).
-	CompAgents, CompDays int
-	// StreamAgents sizes the streaming rows (never materialized).
-	StreamAgents int
-	// Workers is the driver pool size (0: the driver default).
-	Workers int
-	// IngestScenario names the scenario whose 1M-agent stream is also
-	// pushed through the binary batch ingest path.
-	IngestScenario string
-	// AttackUsers caps how many pseudonym series the re-identification
-	// attack runs per cell; AttackBoxes caps boxes per series (the
-	// LT-consistency scan is O(users × boxes)). MeasureRequests caps the
-	// achieved-k sample per cell (deterministic every-Nth stride). The
-	// caps are recorded in the report and stated in the table notes —
-	// no silent truncation.
-	AttackUsers, AttackBoxes, MeasureRequests int
-}
-
-// DefaultCompBenchOptions is the checked-in record's configuration:
-// four 1M-agent streaming rows plus one ingest row, and an
-// 800-agent × 2-day comparison grid (4 scenarios × 4 approaches).
-func DefaultCompBenchOptions() CompBenchOptions {
-	return CompBenchOptions{
-		Seed:            1,
-		K:               5,
-		CompAgents:      800,
-		CompDays:        2,
-		StreamAgents:    1_000_000,
-		Workers:         4,
-		IngestScenario:  "rural",
-		AttackUsers:     250,
-		AttackBoxes:     8,
-		MeasureRequests: 1200,
-	}
-}
-
-// RunCompBench measures the streaming rows and the comparison frontier.
-// Progress goes to stderr; the run takes a few minutes at the default
-// sizes.
-func RunCompBench(o CompBenchOptions) CompBenchReport {
-	rep := CompBenchReport{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		K:            o.K,
-		CompAgents:   o.CompAgents,
-		CompDays:     o.CompDays,
-		StreamAgents: o.StreamAgents,
-		AttackUsers:  o.AttackUsers,
-		AttackBoxes:  o.AttackBoxes,
-		MeasureReqs:  o.MeasureRequests,
-	}
+// compFrontier runs every approach on one seeded workload per scenario
+// shape and returns the frontier's cells in report order.
+func compFrontier(agents, days int, seed int64, k int, caps attackCaps) []compRow {
+	var rows []compRow
 	for _, sc := range mobility.Scenarios() {
-		fmt.Fprintf(os.Stderr, "compbench: streaming %s x%d (generate)\n", sc.Name, o.StreamAgents)
-		rep.StreamRows = append(rep.StreamRows,
-			runStreamRow(sc, "generate", o.StreamAgents, o.Seed, o.Workers, nil))
-	}
-	if sc, ok := mobility.ScenarioByName(o.IngestScenario); ok {
-		fmt.Fprintf(os.Stderr, "compbench: streaming %s x%d (ingest)\n", sc.Name, o.StreamAgents)
-		h := httpapi.New(newIngestServer(o.K))
-		rep.StreamRows = append(rep.StreamRows,
-			runStreamRow(sc, "ingest", o.StreamAgents, o.Seed, o.Workers, h))
-	}
-	caps := attackCaps{users: o.AttackUsers, boxes: o.AttackBoxes, measure: o.MeasureRequests}
-	for _, sc := range mobility.Scenarios() {
-		fmt.Fprintf(os.Stderr, "compbench: comparing approaches on %s x%d\n", sc.Name, o.CompAgents)
-		w := buildCompWorkload(sc, o.CompAgents, o.CompDays, o.Seed)
+		w := buildCompWorkload(sc, agents, days, seed)
 		for _, ap := range compApproaches() {
-			outs := ap.run(w, o.K)
-			rep.CompRows = append(rep.CompRows, evalApproach(w, ap.name, outs, o.K, caps))
+			rows = append(rows, evalApproach(w, ap.name, ap.run(w, k), k, caps))
 		}
 	}
-	return rep
-}
-
-// newIngestServer is a TS with no services: the ingest rows measure the
-// location-update pipeline (decode → PHL → index), not request serving.
-func newIngestServer(k int) *ts.Server {
-	return ts.New(ts.Config{DefaultPolicy: ts.Policy{K: k}},
-		ts.OutboxFunc(func(*wire.Request) {}))
-}
-
-// runStreamRow drives one scenario at full scale and snapshots
-// throughput and peak heap.
-func runStreamRow(sc mobility.Scenario, mode string, agents int, seed int64, workers int, h *httpapi.Handler) StreamRow {
-	cfg := sc.Config(agents, seed)
-	s := mobility.NewStream(cfg)
-	d := &StreamDriver{Workers: workers}
-	runtime.GC()
-	hw := watchHeap()
-	start := time.Now()
-	if mode == "ingest" {
-		d.Ingest(s, h)
-	} else {
-		d.Generate(s)
-	}
-	secs := time.Since(start).Seconds()
-	peak := hw.Close()
-	events := d.Stats.Events.Load()
-	return StreamRow{
-		Scenario:     sc.Name,
-		Mode:         mode,
-		Agents:       agents,
-		Events:       events,
-		Requests:     d.Stats.Requests.Load(),
-		Workers:      d.workers(),
-		EventsPerSec: float64(events) / secs,
-		PeakHeapMB:   peak,
-		Seconds:      secs,
-	}
-}
-
-// heapWatch samples HeapAlloc on a ticker; Close returns the peak MB.
-type heapWatch struct {
-	stop chan struct{}
-	done chan struct{}
-	peak uint64
-}
-
-func watchHeap() *heapWatch {
-	w := &heapWatch{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(w.done)
-		var ms runtime.MemStats
-		t := time.NewTicker(50 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > w.peak {
-					w.peak = ms.HeapAlloc
-				}
-			}
-		}
-	}()
-	return w
-}
-
-func (w *heapWatch) Close() float64 {
-	close(w.stop)
-	<-w.done
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > w.peak {
-		w.peak = ms.HeapAlloc
-	}
-	return float64(w.peak) / (1 << 20)
+	return rows
 }
 
 // compWorkload is one materialized comparison workload: the identical
@@ -331,9 +136,8 @@ type compApproach struct {
 	run  func(w *compWorkload, k int) []compOutcome
 }
 
-// compApproaches returns the four contenders in report order. The names
-// are part of the BENCH_comp.json schema (checkexpdocs.sh greps them
-// out of EXPERIMENTS.md via the record).
+// compApproaches returns the four contenders in report order; the names
+// are the frontier's approach column.
 func compApproaches() []compApproach {
 	return []compApproach{
 		{"generalize", runGeneralizeApproach},
@@ -479,8 +283,8 @@ type attackCaps struct {
 // achieved-k over a deterministic stride sample, re-identification by
 // LT-consistency intersection per pseudonym series, and cross-rotation
 // linkability where the approach rotates.
-func evalApproach(w *compWorkload, approach string, outs []compOutcome, k int, caps attackCaps) CompRow {
-	row := CompRow{Scenario: w.scenario, Approach: approach, Requests: len(w.reqs), LinkP95: -1}
+func evalApproach(w *compWorkload, approach string, outs []compOutcome, k int, caps attackCaps) compRow {
+	row := compRow{Scenario: w.scenario, Approach: approach, Requests: len(w.reqs), LinkP95: -1}
 	if len(w.reqs) == 0 {
 		return row
 	}
@@ -628,34 +432,12 @@ func crossSegmentLink(w *compWorkload, outs []compOutcome, fwdIdx []int) []float
 	return vals
 }
 
-// CompStreamTable renders the streaming rows.
-func CompStreamTable(rep CompBenchReport) *Table {
-	t := &Table{
-		ID:    "E-comp-stream",
-		Title: "million-agent streaming workloads (recorded in BENCH_comp.json)",
-		Columns: []string{"scenario", "mode", "agents", "events", "requests",
-			"workers", "events/s", "peak heap MB", "seconds"},
-		Notes: fmt.Sprintf("agents are materialized on demand from (seed, id) — "+
-			"resident state is the city layout plus O(workers) scratch, so peak heap "+
-			"stays flat in population for generate rows; the ingest row additionally "+
-			"pays the server-side PHL+index, which is O(events) by design. "+
-			"Measured at GOMAXPROCS=%d; ingest uses the binary /v1/batch channel "+
-			"in-process (the E-wire measurement boundary).", rep.GOMAXPROCS),
-	}
-	for _, r := range rep.StreamRows {
-		t.AddRow(r.Scenario, r.Mode, r.Agents, r.Events, r.Requests, r.Workers,
-			fmt.Sprintf("%.0f", r.EventsPerSec),
-			fmt.Sprintf("%.1f", r.PeakHeapMB),
-			fmt.Sprintf("%.1f", r.Seconds))
-	}
-	return t
-}
-
-// CompFrontierTable renders the privacy-vs-QoS frontier.
-func CompFrontierTable(rep CompBenchReport) *Table {
+// ECompFrontier is the E-comp-frontier experiment: the privacy-vs-QoS
+// frontier at the sizes above.
+func ECompFrontier() *Table {
 	t := &Table{
 		ID:    "E-comp-frontier",
-		Title: "privacy vs QoS across four approaches (recorded in BENCH_comp.json)",
+		Title: "privacy vs QoS across four approaches",
 		Columns: []string{"scenario", "approach", "requests", "fwd %", "area km²",
 			"defer s", "k p5", "k p50", "<k %", "re-id %", "anon set", "link p95"},
 		Notes: fmt.Sprintf("identical seeded workloads (%d agents, %d days) per scenario; "+
@@ -666,9 +448,9 @@ func CompFrontierTable(rep CompBenchReport) *Table {
 			"per cell with ≤%d boxes each (LT-consistency intersection against the full "+
 			"PHL); \"link p95\" is the Tracking attacker's cross-rotation linkability "+
 			"over ≤400 rotation boundaries, \"-\" where the approach never rotates.",
-			rep.CompAgents, rep.CompDays, rep.K, rep.MeasureReqs, rep.AttackUsers, rep.AttackBoxes),
+			compAgents, compDays, compK, compCaps.measure, compCaps.users, compCaps.boxes),
 	}
-	for _, r := range rep.CompRows {
+	for _, r := range compFrontier(compAgents, compDays, compSeed, compK, compCaps) {
 		linkCell := "-"
 		if r.LinkP95 >= 0 {
 			linkCell = fmt.Sprintf("%.2f", r.LinkP95)
@@ -685,29 +467,4 @@ func CompFrontierTable(rep CompBenchReport) *Table {
 			linkCell)
 	}
 	return t
-}
-
-// compRecordTable loads the checked-in record and renders one of its
-// tables, so `lbbench -md` regenerates §E-comp byte-for-byte without
-// re-measuring. A missing record renders an instruction note instead.
-func compRecordTable(render func(CompBenchReport) *Table, id, title string) *Table {
-	rep, err := LoadCompBench(CompBenchRecord)
-	if err != nil {
-		return &Table{ID: id, Title: title,
-			Notes: "BENCH_comp.json not found — regenerate it with " +
-				"`go run ./cmd/lbbench -compbench BENCH_comp.json` from the repo root."}
-	}
-	return render(rep)
-}
-
-// ECompStream is the E-comp-stream experiment (reads BENCH_comp.json).
-func ECompStream() *Table {
-	return compRecordTable(CompStreamTable, "E-comp-stream",
-		"million-agent streaming workloads (recorded in BENCH_comp.json)")
-}
-
-// ECompFrontier is the E-comp-frontier experiment (reads BENCH_comp.json).
-func ECompFrontier() *Table {
-	return compRecordTable(CompFrontierTable, "E-comp-frontier",
-		"privacy vs QoS across four approaches (recorded in BENCH_comp.json)")
 }

@@ -1,57 +1,23 @@
 package sim
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 
-	"histanon/internal/httpapi"
 	"histanon/internal/mobility"
 )
 
-// TestCompSmoke runs the whole -compbench pipeline at toy sizes: every
-// scenario × every approach must produce a frontier cell with sane
-// invariants, the streaming rows must cover all scenarios plus one
-// ingest row, and the JSON record must round-trip losslessly (the
-// byte-identical-regeneration guarantee rides on that).
+// TestCompSmoke runs the frontier at toy sizes: every scenario × every
+// approach must produce a cell with sane invariants.
 func TestCompSmoke(t *testing.T) {
-	o := CompBenchOptions{
-		Seed: 1, K: 3,
-		CompAgents: 120, CompDays: 1,
-		StreamAgents: 400, Workers: 3,
-		IngestScenario:  "rural",
-		AttackUsers:     60,
-		AttackBoxes:     4,
-		MeasureRequests: 300,
-	}
-	rep := RunCompBench(o)
-
-	if want := len(mobility.Scenarios()) + 1; len(rep.StreamRows) != want {
-		t.Fatalf("stream rows: got %d, want %d", len(rep.StreamRows), want)
-	}
-	ingest := 0
-	for _, r := range rep.StreamRows {
-		if r.Events <= 0 || r.EventsPerSec <= 0 || r.Agents != o.StreamAgents {
-			t.Fatalf("degenerate stream row %+v", r)
-		}
-		if _, ok := mobility.ScenarioByName(r.Scenario); !ok {
-			t.Fatalf("stream row names unknown scenario %q", r.Scenario)
-		}
-		if r.Mode == "ingest" {
-			ingest++
-		}
-	}
-	if ingest != 1 {
-		t.Fatalf("got %d ingest rows, want 1", ingest)
-	}
+	rows := compFrontier(120, 1, 1, 3, attackCaps{users: 60, boxes: 4, measure: 300})
 
 	cells := map[string]bool{}
-	for _, r := range rep.CompRows {
+	rotating := false
+	for _, r := range rows {
 		cells[r.Scenario+"/"+r.Approach] = true
+		if r.Approach == "mixzone" && r.LinkP95 >= 0 {
+			rotating = true
+		}
 		if r.Requests <= 0 {
 			t.Fatalf("%s/%s: no requests in workload", r.Scenario, r.Approach)
 		}
@@ -73,42 +39,8 @@ func TestCompSmoke(t *testing.T) {
 			}
 		}
 	}
-	rotating := false
-	for _, r := range rep.CompRows {
-		if r.Approach == "mixzone" && r.LinkP95 >= 0 {
-			rotating = true
-		}
-	}
 	if !rotating {
 		t.Fatal("no mixzone cell measured cross-rotation linkability")
-	}
-
-	// Round-trip: the E-comp tables are rendered from the checked-in
-	// record, so Write→Load must be lossless and the rendering pure.
-	path := filepath.Join(t.TempDir(), "BENCH_comp.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	back, err := LoadCompBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatal("BENCH_comp.json round-trip changed the report")
-	}
-	var md1, md2 bytes.Buffer
-	CompFrontierTable(back).Render(&md1)
-	CompFrontierTable(back).Render(&md2)
-	if md1.Len() == 0 || md1.String() != md2.String() {
-		t.Fatal("frontier table rendering is empty or non-deterministic")
-	}
-	if !strings.Contains(md1.String(), "E-comp-frontier") {
-		t.Fatal("frontier table lost its experiment id")
 	}
 }
 
@@ -140,77 +72,5 @@ func TestCompFalsifiability(t *testing.T) {
 	}
 	if weak.ReidPct <= strong.ReidPct {
 		t.Errorf("re-id%%: weak %g !> strong %g", weak.ReidPct, strong.ReidPct)
-	}
-}
-
-// TestStreamingAgentsBoundedMemory pins the tentpole memory guarantee:
-// streaming a million-agent scenario keeps the live heap O(workers +
-// layout), not O(population). A materialized run at this scale would
-// hold gigabytes of events; the bound here is two orders of magnitude
-// below that.
-func TestStreamingAgentsBoundedMemory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1M-agent stream in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("1M-agent stream under the race detector")
-	}
-	sc, ok := mobility.ScenarioByName("rural")
-	if !ok {
-		t.Fatal("rural scenario missing")
-	}
-	s := mobility.NewStream(sc.Config(1_000_000, 1))
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d := &StreamDriver{Workers: 4}
-	hw := watchHeap()
-	d.Generate(s)
-	peakMB := hw.Close()
-	if got := d.Stats.Agents.Load(); got != 1_000_000 {
-		t.Fatalf("streamed %d agents, want 1000000", got)
-	}
-	if d.Stats.Events.Load() < 1_000_000 {
-		t.Fatalf("implausibly few events: %d", d.Stats.Events.Load())
-	}
-	growth := peakMB - float64(before.HeapAlloc)/(1<<20)
-	if growth > 128 {
-		t.Fatalf("peak heap grew %.1f MB over baseline — not O(workers)", growth)
-	}
-	t.Logf("1M agents, %d events, peak heap growth %.1f MB",
-		d.Stats.Events.Load(), growth)
-}
-
-// TestStreamDriverDeterministicAcrossWorkers: the dynamic partition
-// must not change what is generated or ingested — only who does it.
-func TestStreamDriverDeterministicAcrossWorkers(t *testing.T) {
-	sc, _ := mobility.ScenarioByName("stadium")
-	s := mobility.NewStream(sc.Config(1500, 5))
-	var counts [2][2]int64
-	for i, workers := range []int{1, 7} {
-		d := &StreamDriver{Workers: workers}
-		d.Generate(s)
-		counts[i] = [2]int64{d.Stats.Events.Load(), d.Stats.Requests.Load()}
-	}
-	if counts[0] != counts[1] {
-		t.Fatalf("generate counts differ across worker counts: %v vs %v", counts[0], counts[1])
-	}
-
-	var samples [2]int
-	for i, workers := range []int{1, 3} {
-		srv := newIngestServer(3)
-		d := &StreamDriver{Workers: workers, BatchFrames: 64}
-		d.Ingest(s, httpapi.New(srv))
-		samples[i] = srv.Store().NumSamples()
-		if d.Stats.Batches.Load() == 0 || d.Stats.Bytes.Load() == 0 {
-			t.Fatalf("workers=%d: ingest moved no batches", workers)
-		}
-		if int64(samples[i]) != d.Stats.Events.Load() {
-			t.Fatalf("workers=%d: server recorded %d samples for %d events",
-				workers, samples[i], d.Stats.Events.Load())
-		}
-	}
-	if samples[0] != samples[1] {
-		t.Fatalf("ingested samples differ across worker counts: %d vs %d", samples[0], samples[1])
 	}
 }

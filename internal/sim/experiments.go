@@ -48,13 +48,12 @@ func All() []Experiment {
 		{"E12", "randomization vs boundary-inference leakage (§7)", E12},
 		{"E13", "online Gedik-Liu deferral dynamics vs immediate generalization", E13},
 		{"E14", "effective anonymity under a Bayesian (density-weighted) attacker", E14},
-		{"E-comp-stream", "million-agent streaming workloads (from BENCH_comp.json)", ECompStream},
-		{"E-comp-frontier", "privacy vs QoS frontier across four approaches (from BENCH_comp.json)", ECompFrontier},
+		{"E-comp-frontier", "privacy vs QoS frontier across four approaches", ECompFrontier},
 	}
 }
 
 // ByID returns the experiment with the given identifier
-// (case-insensitive, so `-e e-comp-stream` works from the CLI).
+// (case-insensitive, so `-e e-comp-frontier` works from the CLI).
 func ByID(id string) (Experiment, bool) {
 	for _, e := range All() {
 		if strings.EqualFold(e.ID, id) {

@@ -56,8 +56,8 @@ func TestByID(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if len(seen) != 16 {
-		t.Errorf("expected 16 experiments, got %d", len(seen))
+	if len(seen) != 15 {
+		t.Errorf("expected 15 experiments, got %d", len(seen))
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sim is the experiment harness: it assembles the full pipeline
 // (synthetic city → trusted server → adversarial service provider),
-// runs the parameter sweeps of DESIGN.md's experiment index (E1–E10)
-// and renders the result tables that EXPERIMENTS.md records.
+// runs the parameter sweeps of DESIGN.md's experiment index (E1–E14)
+// and the E-comp approach comparison, and renders the result tables
+// that EXPERIMENTS.md records.
 package sim
 
 import (

@@ -16,17 +16,12 @@ import (
 // document is updated with it.
 //
 // E1, E9 and E10 are left out: they are timing tables, and their other
-// columns are only each row's parameters. The two E-comp tables are
-// rendered from the checked-in BENCH_comp.json record, as lbbench does.
+// columns are only each row's parameters.
 func TestExperimentTablesMatchDoc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector slows the experiments several-fold; CI runs this test without it")
 	}
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := LoadCompBench("../../BENCH_comp.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +31,7 @@ func TestExperimentTablesMatchDoc(t *testing.T) {
 	}{
 		{"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6}, {"E7", E7},
 		{"E8", E8}, {"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14},
-		{"E-comp-stream", func() *Table { return CompStreamTable(rep) }},
-		{"E-comp-frontier", func() *Table { return CompFrontierTable(rep) }},
+		{"E-comp-frontier", ECompFrontier},
 	}
 	for _, r := range runs {
 		t.Run(r.id, func(t *testing.T) {

@@ -7,10 +7,13 @@
 # tail-sampling keep reason declared in internal/obs/trace.go — plus
 # the privacy-SLO surface: every /v1/slo and /healthz-SLO JSON field
 # declared in internal/httpapi/slo.go and every canary probe field
-# declared in internal/slo/canary.go. Three surfaces are held equal in
-# both directions, so documentation of something the code no longer
-# has fails too: the metric family names (every full histanon_* name
-# the doc mentions is declared in internal/obs/obs.go), the
+# declared in internal/slo/canary.go. Every Metric* constant declared
+# in internal/obs/obs.go must also be listed by MetricNames(), which the
+# server's exposition tests hold to /metrics, so no declared family goes
+# unregistered. Three surfaces are held equal in both directions, so
+# documentation of something the code no longer has fails too: the
+# metric family names (every full histanon_* name the doc mentions is
+# declared in internal/obs/obs.go), the
 # histanon_ts_events_total event table (against the event list in
 # internal/ts/events.go), and the Health endpoint table (its first
 # column against the JSON fields of HealthResponse, OutboxHealth and
@@ -28,6 +31,25 @@ fail=0
 for name in $(grep -o '"histanon_[a-z0-9_]*"' internal/obs/obs.go | tr -d '"' | sort -u); do
     if ! grep -q "$name" "$doc"; then
         echo "metric family $name undocumented in $doc" >&2
+        fail=1
+    fi
+done
+
+# A declared family must be registered: every Metric* constant in
+# obs.go's const block is listed by MetricNames(), whose every family
+# the server's exposition tests require on /metrics. A family no
+# process registers fails here instead of lingering in the docs.
+consts=$(sed -n '/^const (/,/^)/p' internal/obs/obs.go |
+         grep -o '^[[:space:]]*Metric[A-Za-z0-9]*[[:space:]]*=' | tr -d ' \t=' | sort -u)
+listed=$(sed -n '/^func MetricNames/,/^}/p' internal/obs/obs.go |
+         grep -o 'Metric[A-Za-z0-9]*' | grep -vx MetricNames | sort -u)
+if [ -z "$consts" ] || [ -z "$listed" ]; then
+    echo "no Metric* constants or MetricNames() list found in internal/obs/obs.go" >&2
+    fail=1
+fi
+for c in $consts; do
+    if ! grep -qx "$c" <<<"$listed"; then
+        echo "metric family $c is declared in internal/obs/obs.go but missing from MetricNames()" >&2
         fail=1
     fi
 done
