@@ -1,7 +1,8 @@
-// Benchmarks, one family per experiment of DESIGN.md's index (E1–E10).
-// The corresponding parameter-sweep tables are produced by cmd/lbbench;
-// these testing.B entry points measure the steady-state cost of each
-// mechanism in isolation.
+// Benchmarks, one family per experiment of DESIGN.md's index, plus the
+// E-obs and E-slo overhead rows. They measure the steady-state cost of
+// each mechanism in isolation. E1, E9 and E10 are timings only, so these
+// are their sole source (EXPERIMENTS.md names the command); the other
+// experiments' tables come from cmd/lbbench.
 package histanon
 
 import (
@@ -48,27 +49,38 @@ func randQuery(rng *rand.Rand) geo.STPoint {
 	}
 }
 
+type namedIndex struct {
+	name string
+	idx  stindex.Index
+}
+
+// benchIndexes returns empty indexes of the three kinds, in the order
+// E1 and E10 report them.
+func benchIndexes() []namedIndex {
+	return []namedIndex{
+		{"brute", stindex.NewBrute()},
+		{"grid", stindex.NewGrid(500, 1800)},
+		{"rtree", stindex.NewRTree()},
+	}
+}
+
 // BenchmarkE1_FirstElementQuery measures the Algorithm-1 line-5 query
-// ("smallest box around q crossed by k user trajectories") per index.
+// ("smallest box around q crossed by k user trajectories") per index,
+// over n samples of n/50 users.
 func BenchmarkE1_FirstElementQuery(b *testing.B) {
 	m := geo.STMetric{TimeScale: 1}
-	for _, n := range []int{10000, 50000} {
-		indexes := map[string]stindex.Index{
-			"brute": stindex.NewBrute(),
-			"grid":  stindex.NewGrid(500, 1800),
-			"kd":    stindex.NewKDTree(),
-			"rtree": stindex.NewRTree(),
-		}
-		for _, idx := range indexes {
-			fillIndex(idx, n, n/50, 42)
+	for _, n := range []int{2000, 10000, 50000} {
+		indexes := benchIndexes()
+		for _, e := range indexes {
+			fillIndex(e.idx, n, n/50, 42)
 		}
 		for _, k := range []int{2, 10} {
-			for name, idx := range indexes {
-				b.Run(fmt.Sprintf("idx=%s/n=%d/k=%d", name, n, k), func(b *testing.B) {
+			for _, e := range indexes {
+				b.Run(fmt.Sprintf("idx=%s/n=%d/k=%d", e.name, n, k), func(b *testing.B) {
 					rng := rand.New(rand.NewSource(7))
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						stindex.SmallestEnclosingBox(idx, randQuery(rng), k, m, nil)
+						stindex.SmallestEnclosingBox(e.idx, randQuery(rng), k, m, nil)
 					}
 				})
 			}
@@ -320,7 +332,8 @@ func BenchmarkE8_TrackingLikelihood(b *testing.B) {
 }
 
 // BenchmarkE9_MatcherOffer measures the continuous LBQID monitoring
-// cost per request.
+// cost: one op offers one random request point to each of a user's
+// patterns.
 func BenchmarkE9_MatcherOffer(b *testing.B) {
 	def := `
 lbqid "p%d" {
@@ -353,37 +366,33 @@ lbqid "p%d" {
 	}
 }
 
-// BenchmarkE10_IndexQueries is the index ablation on both primitives.
+// BenchmarkE10_IndexQueries is the index ablation on both primitives,
+// over 50,000 samples of 1,000 users.
 func BenchmarkE10_IndexQueries(b *testing.B) {
 	const n = 50000
 	m := geo.STMetric{TimeScale: 1}
-	indexes := map[string]stindex.Index{
-		"brute": stindex.NewBrute(),
-		"grid":  stindex.NewGrid(500, 1800),
-		"kd":    stindex.NewKDTree(),
-		"rtree": stindex.NewRTree(),
+	indexes := benchIndexes()
+	for _, e := range indexes {
+		fillIndex(e.idx, n, 1000, 11)
 	}
-	for _, idx := range indexes {
-		fillIndex(idx, n, 1000, 11)
-	}
-	for name, idx := range indexes {
-		b.Run("box/"+name, func(b *testing.B) {
+	for _, e := range indexes {
+		b.Run("box/"+e.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c := geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000}
 				ct := int64(rng.Intn(14 * 24 * 3600))
-				idx.UsersInBox(geo.STBox{
+				e.idx.UsersInBox(geo.STBox{
 					Area: geo.Rect{MinX: c.X - 500, MinY: c.Y - 500, MaxX: c.X + 500, MaxY: c.Y + 500},
 					Time: geo.Interval{Start: ct - 1800, End: ct + 1800},
 				})
 			}
 		})
-		b.Run("knn/"+name, func(b *testing.B) {
+		b.Run("knn/"+e.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(6))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				idx.KNearestUsers(randQuery(rng), 5, m, nil)
+				e.idx.KNearestUsers(randQuery(rng), 5, m, nil)
 			}
 		})
 	}

@@ -2,14 +2,17 @@
 //
 // Usage:
 //
-//	lbbench             # run the whole suite (E1..E14, E-comp-frontier)
+//	lbbench             # run the whole suite (E2..E8, E11..E14, E-comp-frontier)
 //	lbbench -e E2,E6    # run selected experiments
 //	lbbench -md         # emit GitHub-flavored markdown instead of text
 //	lbbench -list       # list experiment ids and titles
 //
-// Timings live elsewhere: microbenchmarks are `go test -bench` targets
-// (bench_test.go and the packages' own), and end-to-end and per-layer
-// figures come from the perfbench module (perfbench/README.md).
+// Every table it prints is deterministic and held to the document by
+// TestExperimentTablesMatchDoc (internal/sim). Timings live elsewhere:
+// microbenchmarks, E1, E9 and E10 among them, are `go test -bench`
+// targets (bench_test.go and the packages' own), and end-to-end and
+// per-layer figures come from the perfbench module
+// (perfbench/README.md).
 package main
 
 import (

@@ -41,7 +41,7 @@ func newIngestTwin(kind string, cfg PopulationConfig, rng *rand.Rand) (*ingestTw
 	var tcfg ts.Config
 	switch kind {
 	case "memory":
-		tw.pop.Store, tw.pop.Index = phl.NewStore(), stindex.NewGrid(500, 900)
+		tw.pop.Store, tw.pop.Index = phl.NewStore(), stindex.NewGrid(stindex.ServingCell, stindex.ServingBucket)
 		tcfg.Store, tcfg.Index = tw.pop.Store, tw.pop.Index
 	case "tiered":
 		st, _, err := storage.Open(storageOracleOptions(storage.NewMemFS(), cfg.TimeSpan))

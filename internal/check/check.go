@@ -77,7 +77,6 @@ func Indexes(cfg WorkloadConfig) map[string]func() stindex.Index {
 		"brute":       func() stindex.Index { return stindex.NewBrute() },
 		"grid-coarse": func() stindex.Index { return stindex.NewGrid(coarseCell, bucket) },
 		"grid-fine":   func() stindex.Index { return stindex.NewGrid(fineCell, bucket) },
-		"kdtree":      func() stindex.Index { return stindex.NewKDTree() },
 		"rtree":       func() stindex.Index { return stindex.NewRTree() },
 	}
 }

@@ -122,13 +122,13 @@ func TestOracleDetectsDivergence(t *testing.T) {
 	w := NewWorkload(WorkloadConfig{Seed: 7, Users: 16, Samples: 200, BoxQueries: 8, KNNQueries: 8})
 	indexes := buildAll(w)
 	// Sabotage one implementation by dropping every third insert.
-	broken := Indexes(w.Cfg)["kdtree"]()
+	broken := Indexes(w.Cfg)["rtree"]()
 	for i, in := range w.Inserts {
 		if i%3 != 0 {
 			broken.Insert(in.User, in.Point)
 		}
 	}
-	indexes["kdtree"] = broken
+	indexes["rtree"] = broken
 	if divs := diffAll(w, indexes, ownership(w)); len(divs) == 0 {
 		t.Fatal("oracle failed to flag an index missing a third of the data")
 	}

@@ -44,8 +44,8 @@ type StorageOracle struct {
 // storageOracleOptions returns the aggressive demotion configuration:
 // frequent snapshots, a hot window far shorter than the workload's
 // time span, a short compaction chain and a cold cache small enough to
-// miss. The grid parameters match the ts.Server defaults so decision
-// legs compare like with like.
+// miss. The store's hot grid has the serving geometry, as the memory
+// leg's grid does, so decision legs compare like with like.
 func storageOracleOptions(fsys storage.FS, span int64) storage.Options {
 	return storage.Options{
 		Dir:              "oracle",
@@ -54,8 +54,6 @@ func storageOracleOptions(fsys storage.FS, span int64) storage.Options {
 		HotWindow:        span / 16,
 		MaxDeltas:        3,
 		ColdCacheEntries: 4,
-		GridCell:         500,
-		GridBucket:       900,
 	}
 }
 
@@ -75,7 +73,7 @@ func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 		Hot: &Population{
 			Cfg:    cfg,
 			Store:  phl.NewStore(),
-			Index:  stindex.NewGrid(500, 900),
+			Index:  stindex.NewGrid(stindex.ServingCell, stindex.ServingBucket),
 			Metric: metric,
 			Rng:    rng,
 		},

@@ -19,12 +19,11 @@ import (
 // calls; the text/JSON API stays the debug surface, this endpoint is
 // the hot path a device SDK posts its batches to.
 //
-// Content negotiation: the request Content-Type must be WireContentType
-// or the endpoint answers 415 — the JSON API never arrives here by
-// accident, and a binary body never hits the JSON decoder. The Accept
-// header picks the response encoding: WireContentType returns a batch
-// frame of decision frames (one per service call, in order); anything
-// else returns the BatchResponse JSON mirror.
+// The request Content-Type must be WireContentType or the endpoint
+// answers 415 — the JSON API never arrives here by accident, and a
+// binary body never hits the JSON decoder. A batch is answered with a
+// batch frame of decision frames (one per service call, in order),
+// whatever the Accept header says; error responses are JSON.
 //
 // Each run of consecutive location frames is ingested as one unit: the
 // frames are parsed off the request buffer (zero-copy, zero-alloc) into
@@ -41,17 +40,6 @@ import (
 
 // WireContentType is the media type of the binary wire framing.
 const WireContentType = "application/x-histanon-wire"
-
-// BatchResponse is the JSON body of POST /v1/batch when the caller does
-// not accept the binary framing.
-type BatchResponse struct {
-	// Frames is how many inner frames the batch carried.
-	Frames int `json:"frames"`
-	// Locations is how many of them were location updates.
-	Locations int `json:"locations"`
-	// Decisions are the service-call verdicts, in batch order.
-	Decisions []DecisionResponse `json:"decisions,omitempty"`
-}
 
 // batchBufPool recycles body-read and response-build buffers across
 // batch requests, keeping the per-batch allocation cost flat regardless
@@ -129,7 +117,6 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	binaryResp := strings.HasPrefix(r.Header.Get("Accept"), WireContentType)
 	respp := batchBufPool.Get().(*[]byte)
 	defer batchBufPool.Put(respp)
 	decFrames := (*respp)[:0]
@@ -142,8 +129,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		samplePool.Put(runp)
 	}()
 
-	var jsonResp BatchResponse
-	frames, locations, calls := 0, 0, 0
+	frames, calls := 0, 0
 	for dec.Next() {
 		frames++
 		switch dec.Type() {
@@ -154,7 +140,6 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			run = append(run, phl.Sample{User: phl.UserID(l.User), Point: l.Point()})
-			locations++
 		case wire.FrameServiceCall:
 			if run, err = h.recordRun(run); err != nil {
 				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
@@ -177,11 +162,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 				P: geo.Point{X: c.X, Y: c.Y}, T: c.T,
 			}, c.Service, c.Data, parent)
 			ws.ServiceCalls.Add(1)
-			if binaryResp {
-				decFrames = wire.AppendDecision(decFrames, decisionFrame(d))
-			} else {
-				jsonResp.Decisions = append(jsonResp.Decisions, decisionJSON(d))
-			}
+			decFrames = wire.AppendDecision(decFrames, decisionFrame(d))
 		default:
 			ws.Other.Add(1)
 			h.rejectBatch(w, run,
@@ -200,22 +181,16 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ws.Batches.Add(1)
 	ws.BatchFrames.Observe(float64(frames))
 
-	if binaryResp {
-		inner := len(decFrames)
-		batch, err := wire.AppendBatch(decFrames, calls, decFrames[:inner])
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", WireContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(batch[inner:])
-		decFrames = batch[:0]
+	inner := len(decFrames)
+	batch, err := wire.AppendBatch(decFrames, calls, decFrames[:inner])
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	jsonResp.Frames = frames
-	jsonResp.Locations = locations
-	writeJSON(w, http.StatusOK, jsonResp)
+	w.Header().Set("Content-Type", WireContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(batch[inner:])
+	decFrames = batch[:0]
 }
 
 // recordRun hands a run of location updates to the server and returns
@@ -270,8 +245,8 @@ func decisionFrame(d ts.Decision) wire.DecisionFrame {
 	return f
 }
 
-// decisionJSON projects a ts.Decision onto the JSON wire; shared by
-// /v1/request and the JSON flavor of /v1/batch.
+// decisionJSON projects a ts.Decision onto the JSON wire of
+// /v1/request.
 func decisionJSON(d ts.Decision) DecisionResponse {
 	resp := DecisionResponse{
 		Forwarded:      d.Forwarded,

@@ -163,25 +163,6 @@ func TestBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatchJSONResponse checks the non-binary Accept path.
-func TestBatchJSONResponse(t *testing.T) {
-	hts, _, _ := newTestServer(t)
-	resp := postBatch(t, hts.URL, buildCrowdBatch(t, 3), "application/json")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("content type %q", ct)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{`"frames":3`, `"locations":3`} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("JSON response %s missing %q", body, want)
-		}
-	}
-}
-
 // TestBatchContentNegotiation pins the rejection paths: wrong
 // Content-Type gets 415, garbage and wrong frame types get 400 and
 // count decode errors.
@@ -280,7 +261,8 @@ func TestEmptyDataKeyRejectedOnBothChannels(t *testing.T) {
 // TestBatchRunRecordedBeforeServiceCall pins the handler's flush order:
 // a service call whose only possible witnesses are other users'
 // location frames earlier in the same batch must see them, and get a
-// generalized k-anonymous context.
+// generalized k-anonymous context. The batch carries no Accept header:
+// decision frames are the endpoint's only answer.
 func TestBatchRunRecordedBeforeServiceCall(t *testing.T) {
 	hts, srv, _ := newTestServer(t)
 	if err := NewClient(hts.URL).AddLBQID(1, commuteSpec); err != nil {
@@ -305,11 +287,14 @@ func TestBatchRunRecordedBeforeServiceCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := postBatch(t, hts.URL, batch, WireContentType)
+	resp := postBatch(t, hts.URL, batch, "")
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != WireContentType {
+		t.Fatalf("response content type %q without an Accept header, want %q", ct, WireContentType)
 	}
 	dec, err := wire.NewBatchDecoder(body)
 	if err != nil {

@@ -12,8 +12,6 @@
 //	                    internal/wire and DESIGN.md §10)
 //	POST /v1/lbqid      {"user":1,"spec":"lbqid \"commute\" { ... }"}
 //	POST /v1/policy     {"user":1,"level":"high"}  or  {"user":1,"k":7,"theta":0.4}
-//	POST /v1/mine       {"weekdaysOnly":true}            -> mined candidate LBQIDs
-//	POST /v1/deploy     {"k":5,"maxWidth":1000,...}      -> feasibility verdict
 //	GET  /v1/stats
 //	GET  /v1/spans          -> recent retained spans; ?trace=<id> filters one trace
 //	GET  /v1/spans/summary  -> span counts and per-stage latency breakdown
@@ -40,10 +38,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"histanon/internal/deploy"
-	"histanon/internal/generalize"
 	"histanon/internal/geo"
-	"histanon/internal/mine"
 	"histanon/internal/obs"
 	"histanon/internal/phl"
 	"histanon/internal/resilience"
@@ -176,8 +171,6 @@ func New(srv *ts.Server) *Handler {
 	h.mux.HandleFunc("/v1/batch", h.postOnly(h.handleBatch))
 	h.mux.HandleFunc("/v1/lbqid", h.postOnly(h.handleLBQID))
 	h.mux.HandleFunc("/v1/policy", h.postOnly(h.handlePolicy))
-	h.mux.HandleFunc("/v1/mine", h.postOnly(h.handleMine))
-	h.mux.HandleFunc("/v1/deploy", h.postOnly(h.handleDeploy))
 	h.mux.HandleFunc("/v1/stats", h.handleStats)
 	h.mux.HandleFunc("/v1/spans", h.handleSpans)
 	h.mux.HandleFunc("/v1/spans/summary", h.handleSpansSummary)
@@ -601,89 +594,4 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	// Encoding errors past the header cannot be reported to the client;
 	// they surface as truncated bodies, which clients treat as errors.
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// MineRequest is the body of POST /v1/mine.
-type MineRequest struct {
-	// WeekdaysOnly restricts mining to business days.
-	WeekdaysOnly bool `json:"weekdaysOnly,omitempty"`
-	// MinDays and MaxSharers tune the miner (zero = defaults).
-	MinDays    int `json:"minDays,omitempty"`
-	MaxSharers int `json:"maxSharers,omitempty"`
-}
-
-// MinedCandidateJSON is one mined pattern on the wire.
-type MinedCandidateJSON struct {
-	User        int64  `json:"user"`
-	Name        string `json:"name"`
-	Elements    int    `json:"elements"`
-	SupportDays int    `json:"supportDays"`
-	Sharers     int    `json:"sharers"`
-	Spec        string `json:"spec"`
-}
-
-// DeployRequest is the body of POST /v1/deploy.
-type DeployRequest struct {
-	K           int     `json:"k"`
-	MaxWidth    float64 `json:"maxWidth,omitempty"`
-	MaxHeight   float64 `json:"maxHeight,omitempty"`
-	MaxDuration int64   `json:"maxDuration,omitempty"`
-}
-
-// DeployReportJSON is the feasibility verdict on the wire.
-type DeployReportJSON struct {
-	Samples      int     `json:"samples"`
-	FeasibleRate float64 `json:"feasibleRate"`
-	CoveredRate  float64 `json:"coveredRate"`
-	OnDemandRate float64 `json:"onDemandRate"`
-	Verdict      string  `json:"verdict"`
-}
-
-func (h *Handler) handleMine(w http.ResponseWriter, r *http.Request) {
-	var req MineRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	cands := mine.Mine(h.srv.Store(), mine.Config{
-		WeekdaysOnly: req.WeekdaysOnly,
-		MinDays:      req.MinDays,
-		MaxSharers:   req.MaxSharers,
-	})
-	out := make([]MinedCandidateJSON, 0, len(cands))
-	for _, c := range cands {
-		out = append(out, MinedCandidateJSON{
-			User:        int64(c.User),
-			Name:        c.Pattern.Name,
-			Elements:    len(c.Pattern.Elements),
-			SupportDays: c.SupportDays,
-			Sharers:     c.Sharers,
-			Spec:        c.Pattern.Spec(),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (h *Handler) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	var req DeployRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	rep, err := deploy.Analyze(deploy.Input{
-		Store: h.srv.Store(),
-		K:     req.K,
-		Tolerance: generalize.Tolerance{
-			MaxWidth: req.MaxWidth, MaxHeight: req.MaxHeight, MaxDuration: req.MaxDuration,
-		},
-	})
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, DeployReportJSON{
-		Samples:      rep.Samples,
-		FeasibleRate: rep.FeasibleRate,
-		CoveredRate:  rep.CoveredRate,
-		OnDemandRate: rep.OnDemandRate,
-		Verdict:      rep.Verdict.String(),
-	})
 }

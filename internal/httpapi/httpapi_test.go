@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,79 +188,5 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if srv.Store().NumUsers() != 8 {
 		t.Fatalf("users=%d", srv.Store().NumUsers())
-	}
-}
-
-func TestMineEndpoint(t *testing.T) {
-	hts, _, _ := newTestServer(t)
-	c := NewClient(hts.URL)
-	// Feed a recurring weekday pattern for user 7.
-	for d := int64(0); d < 10; d++ {
-		if d%7 >= 5 {
-			continue
-		}
-		if err := c.RecordLocation(7, 100, 100, d*tgran.Day+8*tgran.Hour); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RecordLocation(7, 3000, 100, d*tgran.Day+9*tgran.Hour); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := http.Post(hts.URL+"/v1/mine", "application/json",
-		strings.NewReader(`{"weekdaysOnly":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status=%d", resp.StatusCode)
-	}
-	var cands []MinedCandidateJSON
-	if err := json.NewDecoder(resp.Body).Decode(&cands); err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 1 || cands[0].User != 7 || cands[0].Elements < 2 {
-		t.Fatalf("candidates: %+v", cands)
-	}
-	if !strings.Contains(cands[0].Spec, "lbqid") {
-		t.Fatalf("spec not in block format: %q", cands[0].Spec)
-	}
-}
-
-func TestDeployEndpoint(t *testing.T) {
-	hts, _, _ := newTestServer(t)
-	c := NewClient(hts.URL)
-	for u := int64(0); u < 6; u++ {
-		for i := int64(0); i < 5; i++ {
-			if err := c.RecordLocation(u, float64(u*30), float64(i*20), i*600); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	resp, err := http.Post(hts.URL+"/v1/deploy", "application/json",
-		strings.NewReader(`{"k":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status=%d", resp.StatusCode)
-	}
-	var rep DeployReportJSON
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Samples == 0 || rep.Verdict == "" {
-		t.Fatalf("report: %+v", rep)
-	}
-	// Invalid k surfaces as 400.
-	resp, err = http.Post(hts.URL+"/v1/deploy", "application/json",
-		strings.NewReader(`{"k":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("k=1 status=%d", resp.StatusCode)
 	}
 }

@@ -2,16 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"histanon/internal/anon"
 	"histanon/internal/baseline"
 	"histanon/internal/generalize"
 	"histanon/internal/geo"
-	"histanon/internal/lbqid"
 	"histanon/internal/link"
 	"histanon/internal/metrics"
 	"histanon/internal/mixzone"
@@ -31,10 +28,10 @@ type Experiment struct {
 }
 
 // All returns the experiment suite in order. IDs follow DESIGN.md's
-// experiment index.
+// experiment index. Every table is deterministic, and
+// TestExperimentTablesMatchDoc holds each to EXPERIMENTS.md.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "Algorithm 1 first-element query latency vs n and k (index ablation)", E1},
 		{"E2", "anonymity level k vs cloaked resolution, by user density", E2},
 		{"E3", "trace length vs HK preservation: fixed-k vs k'-decay (§6.2)", E3},
 		{"E4", "tolerance constraints vs generalization failure rate", E4},
@@ -42,8 +39,6 @@ func All() []Experiment {
 		{"E6", "Theorem 1: SP re-identification under historical k-anonymity", E6},
 		{"E7", "baseline comparison: per-request vs historical anonymity", E7},
 		{"E8", "tracking attacker vs unlinking: linked groups and identification", E8},
-		{"E9", "LBQID monitoring throughput vs patterns per user", E9},
-		{"E10", "spatio-temporal index ablation: box and kNN queries", E10},
 		{"E11", "deployment-area feasibility analysis (§7 direction b)", E11},
 		{"E12", "randomization vs boundary-inference leakage (§7)", E12},
 		{"E13", "online Gedik-Liu deferral dynamics vs immediate generalization", E13},
@@ -61,59 +56,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// randomIndex fills an index with n samples of `users` distinct users
-// spread over an 8×8 km, 14-day extent.
-func randomIndex(idx stindex.Index, n, users int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		idx.Insert(phl.UserID(rng.Intn(users)), geo.STPoint{
-			P: geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000},
-			T: int64(rng.Intn(14 * 24 * 3600)),
-		})
-	}
-}
-
-// E1 measures the first-element query (smallest box crossed by k
-// trajectories) on the three index structures, over growing databases —
-// the paper's O(k·n) brute force against moving-object-index-inspired
-// alternatives (§6.2).
-func E1() *Table {
-	t := &Table{
-		ID:      "E1",
-		Title:   "Algorithm 1 line-5 query latency (µs/op)",
-		Columns: []string{"n", "k", "brute", "grid", "kdtree", "rtree", "speedup(grid)"},
-		Notes:   "brute is the paper's O(k·n) method; grid/kd answer the same query",
-	}
-	m := geo.STMetric{TimeScale: 1}
-	for _, n := range []int{2000, 10000, 50000} {
-		brute := stindex.NewBrute()
-		grid := stindex.NewGrid(500, 1800)
-		kd := stindex.NewKDTree()
-		rt := stindex.NewRTree()
-		for _, idx := range []stindex.Index{brute, grid, kd, rt} {
-			randomIndex(idx, n, n/50, 42)
-		}
-		for _, k := range []int{2, 10} {
-			times := map[string]float64{}
-			for name, idx := range map[string]stindex.Index{"brute": brute, "grid": grid, "kd": kd, "rtree": rt} {
-				rng := rand.New(rand.NewSource(7))
-				iters := 50
-				start := time.Now()
-				for i := 0; i < iters; i++ {
-					q := geo.STPoint{
-						P: geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000},
-						T: int64(rng.Intn(14 * 24 * 3600)),
-					}
-					stindex.SmallestEnclosingBox(idx, q, k, m, nil)
-				}
-				times[name] = float64(time.Since(start).Microseconds()) / float64(iters)
-			}
-			t.AddRow(n, k, times["brute"], times["grid"], times["kd"], times["rtree"], times["brute"]/times["grid"])
-		}
-	}
-	return t
 }
 
 // E2 sweeps user density and k, reporting the spatial and temporal
@@ -533,90 +475,4 @@ func requestsOf(decs []*ts.Decision) []*wire.Request {
 		out[i] = d.Request
 	}
 	return out
-}
-
-// E9 measures the continuous LBQID monitoring cost: offers per second
-// through matchers as the number of patterns per user grows.
-func E9() *Table {
-	t := &Table{
-		ID:      "E9",
-		Title:   "LBQID monitoring throughput",
-		Columns: []string{"patterns/user", "offers/sec (millions)"},
-	}
-	def := `
-lbqid "p%d" {
-    element area [%d,%d]x[0,200] time [06:30,09:00]
-    element area [%d,%d]x[0,200] time [15:30,19:00]
-    recurrence 3.Weekdays * 2.Weeks
-}`
-	for _, n := range []int{1, 4, 16, 32} {
-		var matchers []*lbqid.Matcher
-		for i := 0; i < n; i++ {
-			q, err := lbqid.ParseOne(fmt.Sprintf(def, i, i*300, i*300+200, i*300+2000, i*300+2200))
-			if err != nil {
-				panic(err)
-			}
-			matchers = append(matchers, lbqid.NewMatcher(q))
-		}
-		rng := rand.New(rand.NewSource(3))
-		const offers = 20000
-		start := time.Now()
-		for i := 0; i < offers; i++ {
-			p := geo.STPoint{
-				P: geo.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 200},
-				T: int64(i) * 60,
-			}
-			for _, m := range matchers {
-				m.Offer(lbqid.RequestID(i), p)
-			}
-		}
-		elapsed := time.Since(start).Seconds()
-		t.AddRow(n, float64(offers*n)/elapsed/1e6)
-	}
-	return t
-}
-
-// E10 is the index ablation on both query primitives.
-func E10() *Table {
-	t := &Table{
-		ID:      "E10",
-		Title:   "index ablation at n=50k samples (µs/op)",
-		Columns: []string{"index", "UsersInBox", "KNearestUsers(k=5)"},
-	}
-	const n = 50000
-	m := geo.STMetric{TimeScale: 1}
-	for _, entry := range []struct {
-		name string
-		idx  stindex.Index
-	}{
-		{"brute", stindex.NewBrute()},
-		{"grid", stindex.NewGrid(500, 1800)},
-		{"kdtree", stindex.NewKDTree()},
-		{"rtree", stindex.NewRTree()},
-	} {
-		randomIndex(entry.idx, n, 1000, 11)
-		rng := rand.New(rand.NewSource(5))
-		const iters = 50
-		boxStart := time.Now()
-		for i := 0; i < iters; i++ {
-			c := geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000}
-			ct := int64(rng.Intn(14 * 24 * 3600))
-			entry.idx.UsersInBox(geo.STBox{
-				Area: geo.Rect{MinX: c.X - 500, MinY: c.Y - 500, MaxX: c.X + 500, MaxY: c.Y + 500},
-				Time: geo.Interval{Start: ct - 1800, End: ct + 1800},
-			})
-		}
-		boxT := float64(time.Since(boxStart).Microseconds()) / iters
-		knnStart := time.Now()
-		for i := 0; i < iters; i++ {
-			q := geo.STPoint{
-				P: geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000},
-				T: int64(rng.Intn(14 * 24 * 3600)),
-			}
-			entry.idx.KNearestUsers(q, 5, m, nil)
-		}
-		knnT := float64(time.Since(knnStart).Microseconds()) / iters
-		t.AddRow(entry.name, boxT, knnT)
-	}
-	return t
 }

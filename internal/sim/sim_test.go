@@ -38,13 +38,15 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"E1", "E5", "E10"} {
+	for _, id := range []string{"E2", "E5", "E14", "e-comp-frontier"} {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %s missing", id)
 		}
 	}
-	if _, ok := ByID("E99"); ok {
-		t.Error("unknown experiment must not resolve")
+	for _, id := range []string{"E99", "E1", "E9", "E10"} {
+		if _, ok := ByID(id); ok {
+			t.Errorf("experiment %s must not resolve", id)
+		}
 	}
 	seen := map[string]bool{}
 	for _, e := range All() {
@@ -56,8 +58,8 @@ func TestByID(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if len(seen) != 15 {
-		t.Errorf("expected 15 experiments, got %d", len(seen))
+	if len(seen) != 12 {
+		t.Errorf("expected 12 experiments, got %d", len(seen))
 	}
 }
 
@@ -144,7 +146,7 @@ func TestFastExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	for _, id := range []string{"E3", "E9"} {
+	for _, id := range []string{"E3", "E13"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("%s missing", id)

@@ -1,8 +1,9 @@
 // Package sim is the experiment harness: it assembles the full pipeline
 // (synthetic city → trusted server → adversarial service provider),
-// runs the parameter sweeps of DESIGN.md's experiment index (E1–E14)
-// and the E-comp approach comparison, and renders the result tables
-// that EXPERIMENTS.md records.
+// runs the parameter sweeps of DESIGN.md's experiment index (E2–E8,
+// E11–E14) and the E-comp approach comparison, and renders the result
+// tables that EXPERIMENTS.md records. E1, E9 and E10 are timings, so
+// they are `go test -bench` targets (bench_test.go), not tables.
 package sim
 
 import (

@@ -10,13 +10,11 @@ import (
 )
 
 // TestExperimentTablesMatchDoc holds EXPERIMENTS.md to the code: it
-// regenerates every deterministic experiment table and compares its
+// regenerates every experiment table of the registry and compares its
 // rows with the first table under the experiment's heading there. A
 // change that moves a decision any table reads fails here until the
-// document is updated with it.
-//
-// E1, E9 and E10 are left out: they are timing tables, and their other
-// columns are only each row's parameters.
+// document is updated with it, and a new experiment cannot land
+// without its table.
 func TestExperimentTablesMatchDoc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector slows the experiments several-fold; CI runs this test without it")
@@ -25,22 +23,14 @@ func TestExperimentTablesMatchDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := []struct {
-		id  string
-		run func() *Table
-	}{
-		{"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6}, {"E7", E7},
-		{"E8", E8}, {"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14},
-		{"E-comp-frontier", ECompFrontier},
-	}
-	for _, r := range runs {
-		t.Run(r.id, func(t *testing.T) {
-			want, err := docTable(string(doc), r.id)
+	for _, r := range All() {
+		t.Run(r.ID, func(t *testing.T) {
+			want, err := docTable(string(doc), r.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var b bytes.Buffer
-			if err := r.run().Markdown(&b); err != nil {
+			if err := r.Run().Markdown(&b); err != nil {
 				t.Fatal(err)
 			}
 			got := tableRows(b.String())
@@ -54,7 +44,7 @@ func TestExperimentTablesMatchDoc(t *testing.T) {
 				}
 				if g != w {
 					t.Fatalf("EXPERIMENTS.md §%s row %d differs from the code's table:\ndoc:  %s\ncode: %s\n(the code renders %d rows, the doc has %d; refresh the doc with `go run ./cmd/lbbench -md -e %s`)",
-						r.id, i, w, g, len(got), len(want), r.id)
+						r.ID, i, w, g, len(got), len(want), r.ID)
 				}
 			}
 		})

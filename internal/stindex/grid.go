@@ -79,6 +79,15 @@ type gridKey struct {
 	cx, cy, ct int64
 }
 
+// ServingCell (meters) and ServingBucket (seconds) are the serving
+// grid's geometry: the trusted server's default index, the tiered
+// store's hot tier and the oracles that compare against them are all
+// NewGrid(ServingCell, ServingBucket).
+const (
+	ServingCell   = 500
+	ServingBucket = 900
+)
+
 // NewGrid returns an empty grid index with the given spatial cell size
 // (meters) and temporal bucket length (seconds). Both must be positive,
 // and the bucket length must fit a uint32.

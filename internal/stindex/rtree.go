@@ -11,9 +11,9 @@ import (
 
 // RTree is a 3-dimensional R-tree over (x, y, t) with quadratic-split
 // insertion — the classic moving-object index family the paper's §6.2
-// points at. Unlike the k-d tree it stores spatio-temporal bounding
-// boxes at internal nodes, so both the box query and the
-// k-distinct-users nearest query prune on full 3D volumes.
+// points at. It stores spatio-temporal bounding boxes at internal
+// nodes, so both the box query and the k-distinct-users nearest query
+// prune on full 3D volumes.
 //
 // Like the metric queries of the other indexes, the time axis is scaled
 // by the query metric at search time; node boxes store raw coordinates.

@@ -10,17 +10,18 @@
 // The paper sketches only the O(k·n) brute-force method and notes that
 // "optimizations may be inspired by the work on indexing moving
 // objects"; this package supplies that brute-force baseline plus a
-// uniform grid, a 3D k-d tree and an R-tree, all behind the Index
-// interface, so the ablation experiment (E10) can compare them.
+// uniform grid and an R-tree, all behind the Index interface. The grid
+// is the one the server runs (see ServingCell); brute force is the
+// reference the other two are tested against, and the R-tree the
+// moving-object index the paper points at.
 //
 // # Concurrency
 //
 // Every index constructed by this package is safe for concurrent use:
 // Insert may run concurrently with other Inserts and with any number of
 // queries. The Grid uses per-shard locking so readers proceed in
-// parallel with writers; Brute, KDTree and RTree serialize writers
-// against readers with an RWMutex (parallel readers, exclusive
-// writers).
+// parallel with writers; Brute and RTree serialize writers against
+// readers with an RWMutex (parallel readers, exclusive writers).
 //
 // A query that races an Insert may or may not observe the in-flight
 // sample; it always observes every sample whose Insert returned before

@@ -26,7 +26,6 @@ func allIndexes() map[string]func() Index {
 	return map[string]func() Index{
 		"brute": func() Index { return NewBrute() },
 		"grid":  func() Index { return NewGrid(100, 300) },
-		"kd":    func() Index { return NewKDTree() },
 		"rtree": func() Index { return NewRTree() },
 	}
 }
@@ -76,7 +75,7 @@ func TestUsersInBoxSimple(t *testing.T) {
 func TestUsersInBoxMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	brute := NewBrute()
-	others := map[string]Index{"grid": NewGrid(100, 300), "kd": NewKDTree(), "rtree": NewRTree()}
+	others := map[string]Index{"grid": NewGrid(100, 300), "rtree": NewRTree()}
 	for i := 0; i < 3000; i++ {
 		u := phl.UserID(rng.Intn(60))
 		p := pt(rng.Float64()*2000, rng.Float64()*2000, int64(rng.Intn(7200)))
@@ -109,7 +108,7 @@ func TestUsersInBoxMatchesBrute(t *testing.T) {
 func TestKNearestUsersMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	brute := NewBrute()
-	others := map[string]Index{"grid": NewGrid(150, 450), "kd": NewKDTree(), "rtree": NewRTree()}
+	others := map[string]Index{"grid": NewGrid(150, 450), "rtree": NewRTree()}
 	for i := 0; i < 2500; i++ {
 		u := phl.UserID(rng.Intn(40))
 		p := pt(rng.Float64()*2000, rng.Float64()*2000, int64(rng.Intn(7200)))

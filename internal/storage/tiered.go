@@ -36,10 +36,6 @@ type Options struct {
 	MaxDeltas int
 	// ColdCacheEntries caps the decoded cold-run LRU (default 1024).
 	ColdCacheEntries int
-	// GridCell / GridBucket size the hot-tier spatio-temporal index,
-	// like ts.Config (defaults 500 m / 900 s).
-	GridCell   float64
-	GridBucket int64
 }
 
 func (o Options) withDefaults() Options {
@@ -60,12 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ColdCacheEntries <= 0 {
 		o.ColdCacheEntries = 1024
-	}
-	if o.GridCell == 0 {
-		o.GridCell = 500
-	}
-	if o.GridBucket == 0 {
-		o.GridBucket = 900
 	}
 	return o
 }
@@ -190,7 +180,7 @@ func Open(opts Options) (*TieredStore, *RecoveryInfo, error) {
 		opts:   opts,
 		fs:     fsys,
 		users:  make(map[phl.UserID]*userTier),
-		hotIdx: stindex.NewGrid(opts.GridCell, opts.GridBucket),
+		hotIdx: stindex.NewGrid(stindex.ServingCell, stindex.ServingBucket),
 		cut:    math.MinInt64,
 		cache:  newRunCache(opts.ColdCacheEntries),
 	}
@@ -626,7 +616,7 @@ func (t *TieredStore) compactLocked() {
 // rebuildIndexLocked rebuilds the hot grid from the in-memory tiers.
 // Caller holds t.mu (write), which excludes concurrent Insert readers.
 func (t *TieredStore) rebuildIndexLocked() {
-	idx := stindex.NewGrid(t.opts.GridCell, t.opts.GridBucket)
+	idx := stindex.NewGrid(stindex.ServingCell, stindex.ServingBucket)
 	for _, u := range t.order {
 		tier := t.users[u]
 		if tier.warm != nil {

@@ -220,10 +220,6 @@ func (f OutboxFunc) Deliver(req *wire.Request) { f(req) }
 type Config struct {
 	// Metric is the 3D metric of Algorithm 1.
 	Metric geo.STMetric
-	// GridCell and GridBucket size the spatio-temporal index
-	// (meters / seconds). Zero means 500 m / 900 s.
-	GridCell   float64
-	GridBucket int64
 	// Services maps service names to their tolerance constraints.
 	// Unknown services get unlimited tolerance.
 	Services map[string]ServiceSpec
@@ -430,12 +426,6 @@ func (s *Server) SetHTTPMetrics(shed func() int64, inflight func() float64) {
 
 // New returns a trusted server delivering to out.
 func New(cfg Config, out Outbox) *Server {
-	if cfg.GridCell == 0 {
-		cfg.GridCell = 500
-	}
-	if cfg.GridBucket == 0 {
-		cfg.GridBucket = 900
-	}
 	if cfg.DefaultPolicy.K == 0 {
 		cfg.DefaultPolicy = PolicyForLevel(Medium)
 	}
@@ -453,7 +443,7 @@ func New(cfg Config, out Outbox) *Server {
 		if idx, ok := store.(stindex.Index); ok {
 			index = idx
 		} else {
-			index = stindex.NewGrid(cfg.GridCell, cfg.GridBucket)
+			index = stindex.NewGrid(stindex.ServingCell, stindex.ServingBucket)
 		}
 	}
 	s := &Server{

@@ -3,13 +3,16 @@
 # analogue of checkobsdocs.sh):
 #   - every experiment id the lbbench registry can render (`lbbench
 #     -list`) has its own `##`/`###` heading;
-#   - every checked-in BENCH_*.json record is mentioned by filename, so
-#     a new machine-readable record cannot land without prose saying
-#     what it measures and how to regenerate it;
+#   - every benchmark that EXPERIMENTS.md or DESIGN.md cites exists: a
+#     full name (`BenchmarkE9_MatcherOffer`) must be declared by a
+#     `func Benchmark…` in some _test.go file, and a prefix
+#     (`BenchmarkE2_*`) must start at least one declared name, so a
+#     table cannot outlive the benchmark that re-measures it;
 #   - every scenario in the registry (internal/mobility/scenarios.go)
-#     is described in the §E-comp section. The frontier's scenario rows
-#     are computed from the same registry, and TestExperimentTablesMatchDoc
-#     (internal/sim) holds them to the section's table.
+#     is described in the §E-comp section, which ends at the next `## `
+#     heading. The frontier's scenario rows are computed from the same
+#     registry, and TestExperimentTablesMatchDoc (internal/sim) holds
+#     them to the section's table.
 # CI runs it in the docs job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,13 +28,21 @@ for id in $(go run ./cmd/lbbench -list | awk '{print $1}'); do
     fi
 done
 
-for rec in BENCH_*.json; do
-    [ -e "$rec" ] || continue
-    if ! grep -q "$rec" "$doc"; then
-        echo "bench record $rec not mentioned in $doc" >&2
+declared=$({ grep -rho --include='*_test.go' '^func Benchmark[A-Za-z0-9_]*' . || true; } |
+           sed 's/^func //' | sort -u)
+if [ -z "$declared" ]; then
+    echo "no func Benchmark… declared in any _test.go file" >&2
+    fail=1
+fi
+while read -r cited; do
+    case "$cited" in
+    *\*) grep -q "^${cited%\*}" <<<"$declared" ;;
+    *) grep -qx "$cited" <<<"$declared" ;;
+    esac || {
+        echo "benchmark $cited (cited in $doc or DESIGN.md) is declared in no _test.go file" >&2
         fail=1
-    fi
-done
+    }
+done < <(grep -ho 'Benchmark[A-Z][A-Za-z0-9_]*\**' "$doc" DESIGN.md | sort -u)
 
 scenarios=$(sed -n '/^func Scenarios/,/^}/p' internal/mobility/scenarios.go |
             grep -o 'Name:[[:space:]]*"[a-z-]*"' | sed 's/.*"\(.*\)"/\1/' | sort -u)
@@ -40,8 +51,8 @@ if [ -z "$scenarios" ]; then
     fail=1
 fi
 
-# The §E-comp section: from its heading to the next top-level section.
-ecomp=$(awk '/^## E-comp/{on=1} on && /^## [^E]/{on=0} on' "$doc")
+# The §E-comp section: from its heading to the next `## ` heading.
+ecomp=$(awk '/^## E-comp/{on=1; print; next} on && /^## /{on=0} on' "$doc")
 if [ -z "$ecomp" ]; then
     echo "$doc has no §E-comp section" >&2
     fail=1
@@ -55,6 +66,6 @@ for name in $scenarios; do
 done
 
 if [ "$fail" = 0 ]; then
-    echo "checkexpdocs: $doc covers all experiment ids, bench records and scenario names"
+    echo "checkexpdocs: $doc covers all experiment ids and scenario names, and every cited benchmark exists"
 fi
 exit "$fail"
