@@ -8,6 +8,7 @@ import (
 	"histanon/internal/anon"
 	"histanon/internal/generalize"
 	"histanon/internal/geo"
+	"histanon/internal/mixzone"
 	"histanon/internal/phl"
 	"histanon/internal/stindex"
 	"histanon/internal/storage"
@@ -21,8 +22,9 @@ import (
 // store is closed and recovered from its snapshot chain and WAL tail,
 // so every oracle run also certifies that recovery is observationally
 // lossless. Check then cross-examines the two views: per-user
-// histories, box and KNN queries, LT-consistency, HistoricalLevel and
-// whole Algorithm 1 generalizations must agree byte for byte.
+// histories, box and KNN queries, LT-consistency, HistoricalLevel,
+// whole Algorithm 1 generalizations (first and later elements, decaying
+// sessions) and on-demand mix-zone plans must agree byte for byte.
 type StorageOracle struct {
 	Cfg PopulationConfig
 	// Hot is the baseline view: phl.Store plus stindex grid.
@@ -206,6 +208,7 @@ func (o *StorageOracle) Check(queries int) []Divergence {
 		o.checkHistoricalLevel(qi)
 	}
 	o.checkGeneralizations(queries)
+	o.checkLaterElements(queries)
 	// The probes above all ran against a healthy disk: any fault
 	// counted during them is a cold-path defect, not an injection.
 	if moved := o.store.StorageFaults() - faults0; moved != 0 {
@@ -329,37 +332,116 @@ func (o *StorageOracle) checkGeneralizations(n int) {
 		q := o.Hot.RandomQuery()
 		issuer := phl.UserID(o.rng.Intn(o.Cfg.Users))
 		k := 1 + o.rng.Intn(o.Cfg.Users+1)
-		tol := generalize.Unlimited
-		if o.rng.Intn(3) == 0 {
-			tol = generalize.Tolerance{
-				MaxWidth:    o.Cfg.Extent / 4,
-				MaxHeight:   o.Cfg.Extent / 4,
-				MaxDuration: o.Cfg.TimeSpan / 4,
-			}
-		}
+		tol := o.randomTolerance()
 		rh, okh := gh.FirstElement(q, issuer, k, tol)
 		rt, okt := gt.FirstElement(q, issuer, k, tol)
 		if okh != okt {
 			o.fail("gen-ok", qi, "FirstElement(%v, k=%d) ok: hot %v, tiered %v", q, k, okh, okt)
 			continue
 		}
-		if !okh {
-			continue
+		if okh {
+			o.sameResult("gen", qi, fmt.Sprintf("FirstElement(%v, k=%d)", q, k), rh, rt)
 		}
-		if rh.Box != rt.Box {
-			o.fail("gen-box", qi, "FirstElement(%v, k=%d) box: hot %v, tiered %v", q, k, rh.Box, rt.Box)
+	}
+}
+
+// sameResult demands identical generalization Results from the two
+// views: box, HK-anonymity verdict, witnesses and witness samples.
+func (o *StorageOracle) sameResult(kind string, qi int, call string, rh, rt generalize.Result) {
+	if rh.Box != rt.Box {
+		o.fail(kind+"-box", qi, "%s box: hot %v, tiered %v", call, rh.Box, rt.Box)
+	}
+	if rh.HKAnonymity != rt.HKAnonymity {
+		o.fail(kind+"-hk", qi, "%s HKAnonymity: hot %v, tiered %v", call, rh.HKAnonymity, rt.HKAnonymity)
+	}
+	if !equalUsers(rh.Users, rt.Users) {
+		o.fail(kind+"-witnesses", qi, "%s witnesses: hot %v, tiered %v", call, rh.Users, rt.Users)
+	}
+	if !equalPoints(rh.Points, rt.Points) {
+		o.fail(kind+"-points", qi, "%s witness samples: hot %v, tiered %v", call, rh.Points, rt.Points)
+	}
+}
+
+// randomTolerance is unlimited two times in three, else a quarter of
+// the extent and time span.
+func (o *StorageOracle) randomTolerance() generalize.Tolerance {
+	if o.rng.Intn(3) != 0 {
+		return generalize.Unlimited
+	}
+	return generalize.Tolerance{
+		MaxWidth:    o.Cfg.Extent / 4,
+		MaxHeight:   o.Cfg.Extent / 4,
+		MaxDuration: o.Cfg.TimeSpan / 4,
+	}
+}
+
+// laterQuery is a query point for the closest-sample lookups: half of
+// them uniform over the time span, so mostly historical, and half in
+// the last 32nd of it, past the tiered store's cut, where the store
+// answers from memory when time rules its cold tier out.
+func (o *StorageOracle) laterQuery() geo.STPoint {
+	q := o.Hot.RandomQuery()
+	if o.rng.Intn(2) == 0 {
+		q.T = o.Cfg.TimeSpan - o.rng.Int63n(o.Cfg.TimeSpan/32+1)
+	}
+	return q
+}
+
+// checkLaterElements runs every call that reads one closest sample per
+// user against both views and demands identical answers: Algorithm 1's
+// later elements (NextElement over random witnesses), a decaying
+// Session whose later steps narrow its witnesses by those distances,
+// and on-demand mix-zone planning. A plan's participants and fallback
+// flag are FindDiverging's answer, and its area the participants'
+// closest samples.
+func (o *StorageOracle) checkLaterElements(n int) {
+	rseed := o.Cfg.Seed*2 + 3
+	gh, gt := o.Hot.Generalizer(rseed), o.Tiered.Generalizer(rseed)
+	od := mixzone.OnDemand{
+		Quiet:          300,
+		Margin:         25,
+		Divergence:     mixzone.Divergence{MinAngle: 0.3},
+		FallbackRadius: 100,
+	}
+	for qi := 0; qi < n; qi++ {
+		q := o.laterQuery()
+		issuer := phl.UserID(o.rng.Intn(o.Cfg.Users))
+		k := 2 + o.rng.Intn(4)
+		tol := o.randomTolerance()
+
+		var witnesses []phl.UserID
+		for _, u := range o.rng.Perm(o.Cfg.Users)[:min(k, o.Cfg.Users)] {
+			if phl.UserID(u) != issuer {
+				witnesses = append(witnesses, phl.UserID(u))
+			}
 		}
-		if rh.HKAnonymity != rt.HKAnonymity {
-			o.fail("gen-hk", qi, "FirstElement(%v, k=%d) HKAnonymity: hot %v, tiered %v",
-				q, k, rh.HKAnonymity, rt.HKAnonymity)
+		o.sameResult("next", qi, fmt.Sprintf("NextElement(%v, %v)", q, witnesses),
+			gh.NextElement(q, witnesses, tol), gt.NextElement(q, witnesses, tol))
+
+		sched := generalize.DecaySchedule{Target: k, Initial: k + 3}
+		sh := generalize.NewSession(gh, issuer, sched)
+		st := generalize.NewSession(gt, issuer, sched)
+		p := q
+		for step := 0; step < 4; step++ {
+			rh, okh := sh.Generalize(p, tol)
+			rt, okt := st.Generalize(p, tol)
+			if okh != okt {
+				o.fail("session-ok", qi, "Session step %d at %v ok: hot %v, tiered %v", step, p, okh, okt)
+				break
+			}
+			if !okh {
+				break
+			}
+			o.sameResult("session", qi, fmt.Sprintf("Session step %d at %v", step, p), rh, rt)
+			p = o.Hot.RandomQuery()
+			p.T = q.T + int64(step+1)*o.Cfg.TimeSpan/64
 		}
-		if !equalUsers(rh.Users, rt.Users) {
-			o.fail("gen-witnesses", qi, "FirstElement(%v, k=%d) witnesses: hot %v, tiered %v",
-				q, k, rh.Users, rt.Users)
-		}
-		if !equalPoints(rh.Points, rt.Points) {
-			o.fail("gen-points", qi, "FirstElement(%v, k=%d) witness samples: hot %v, tiered %v",
-				q, k, rh.Points, rt.Points)
+
+		ph, okh := od.Plan(o.Hot.Index, o.Hot.Store, issuer, q.P, q.T, k, o.Hot.Metric)
+		pt, okt := od.Plan(o.Tiered.Index, o.Tiered.Store, issuer, q.P, q.T, k, o.Tiered.Metric)
+		if okh != okt || ph.Area != pt.Area || ph.Window != pt.Window ||
+			ph.Fallback != pt.Fallback || !equalUsers(ph.Participants, pt.Participants) {
+			o.fail("plan", qi, "Plan(%v, k=%d): hot %+v %v, tiered %+v %v", q, k, ph, okh, pt, okt)
 		}
 	}
 }

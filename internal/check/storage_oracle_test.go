@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"histanon/internal/anon"
+	"histanon/internal/generalize"
 	"histanon/internal/geo"
+	"histanon/internal/mixzone"
 	"histanon/internal/phl"
 	"histanon/internal/stindex"
 	"histanon/internal/storage"
@@ -18,8 +20,10 @@ import (
 // random continuous-coordinate populations, each ingested into an
 // all-hot store and a TieredStore with aggressive demotion (restarted
 // from disk mid-workload), then cross-examined on histories, box and
-// KNN queries, LT-consistency, HistoricalLevel and whole Algorithm 1
-// generalizations. Any divergence fails the seed.
+// KNN queries, LT-consistency, HistoricalLevel, whole Algorithm 1
+// generalizations (first elements, later elements and decaying
+// sessions) and on-demand mix-zone search and plans. Any divergence
+// fails the seed.
 func TestStorageDifferentialOracle(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		cfg := PopulationConfig{
@@ -104,39 +108,89 @@ func TestStorageOracleColdFault(t *testing.T) {
 	}
 }
 
+// extentLBQID covers the decision leg's whole extent and day: every
+// request matches it, the first opens a witness session (Algorithm 1's
+// first element) and the rest of the session takes later elements.
+const extentLBQID = `
+lbqid "extent" {
+    element "A" area [-1000,1000]x[-1000,1000] time [00:00,23:59]
+    element "B" area [-1000,1000]x[-1000,1000] time [00:00,23:59]
+    element "C" area [-1000,1000]x[-1000,1000] time [00:00,23:59]
+    recurrence 1.Days
+}`
+
+// legCounts tallies what a decision leg exercised: generalized
+// requests, generalized requests that continued an open witness
+// session (later elements), and rotations.
+type legCounts struct {
+	generalized, later, unlinked int
+}
+
 // storageDecisionLeg runs one trusted-server leg of the decision
 // differential: records and requests from a fixed schedule, returning
-// the decision fingerprints.
-func storageDecisionLeg(t *testing.T, seed int64, store *storage.TieredStore) []string {
+// the decision fingerprints and what they exercised. Every user has
+// extentLBQID, the policy over-provisions witnesses (so later elements
+// narrow them, Session.nearestSubset) and the service's tolerance is
+// tight enough that some boxes fail it and unlink, through on-demand
+// zones with a fallback.
+func storageDecisionLeg(t *testing.T, seed int64, store *storage.TieredStore) ([]string, legCounts) {
 	t.Helper()
 	cfg := ts.Config{
-		Metric:        geo.STMetric{TimeScale: 0.5},
-		DefaultPolicy: ts.Policy{K: 3},
+		Metric: geo.STMetric{TimeScale: 0.5},
+		DefaultPolicy: ts.Policy{K: 3, Theta: 0.5,
+			Decay: generalize.DecaySchedule{Initial: 5}},
 		RandomizeSeed: seed,
+		Services: map[string]ts.ServiceSpec{
+			"svc": {Name: "svc", Tolerance: generalize.Tolerance{MaxWidth: 600, MaxHeight: 600, MaxDuration: 600}},
+		},
+		OnDemand: mixzone.OnDemand{
+			Quiet:          120,
+			Divergence:     mixzone.Divergence{MinAngle: 0.3, Horizon: 120},
+			FallbackRadius: 200,
+		},
 	}
 	if store != nil {
 		cfg.Store = store
 	}
 	srv := ts.New(cfg, ts.OutboxFunc(func(*wire.Request) {}))
+	const users = 16
+	for u := 0; u < users; u++ {
+		if err := srv.AddLBQIDSpec(phl.UserID(u), extentLBQID); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	var fps []string
+	var n legCounts
+	open := map[phl.UserID]bool{} // a witness session is open for the user
 	now := int64(0)
 	for i := 0; i < 1200; i++ {
 		now += int64(rng.Intn(4))
-		u := phl.UserID(rng.Intn(16))
+		u := phl.UserID(rng.Intn(users))
 		pt := geo.STPoint{
 			P: geo.Point{X: rng.Float64()*2000 - 1000, Y: rng.Float64()*2000 - 1000},
 			T: now,
 		}
-		if i%6 == 5 {
-			d := srv.Request(u, pt, "svc", nil)
-			fps = append(fps, fingerprint(len(fps), d))
-		} else {
+		if i%6 != 5 {
 			srv.RecordLocation(u, pt)
+			continue
+		}
+		d := srv.Request(u, pt, "svc", nil)
+		fps = append(fps, fingerprint(len(fps), d))
+		if d.Generalized {
+			n.generalized++
+			if open[u] {
+				n.later++
+			}
+			open[u] = true
+		}
+		if d.Unlinked {
+			n.unlinked++
+			open[u] = false
 		}
 	}
-	return fps
+	return fps, n
 }
 
 // TestStorageOracleServerDecisions is the end-to-end decision leg: the
@@ -144,7 +198,8 @@ func storageDecisionLeg(t *testing.T, seed int64, store *storage.TieredStore) []
 // memory store and a server on a TieredStore doubling as the index,
 // with most of the PHL demoted to disk. Every decision fingerprint —
 // outcome, generalized context, pseudonym, trace — must be
-// byte-identical.
+// byte-identical, and each seed must run Algorithm 1's first and later
+// elements and unlink.
 func TestStorageOracleServerDecisions(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		fsys := storage.NewMemFS()
@@ -159,10 +214,14 @@ func TestStorageOracleServerDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hot := storageDecisionLeg(t, seed, nil)
-		tiered := storageDecisionLeg(t, seed, st)
+		hot, n := storageDecisionLeg(t, seed, nil)
+		tiered, _ := storageDecisionLeg(t, seed, st)
 		if st.Stats().DemotedSamples == 0 {
 			t.Fatalf("seed %d: nothing demoted; decision leg is vacuous", seed)
+		}
+		if n.generalized == 0 || n.later == 0 || n.unlinked == 0 {
+			t.Fatalf("seed %d: %d generalized, %d later elements, %d unlinked; the leg must exercise all three",
+				seed, n.generalized, n.later, n.unlinked)
 		}
 		if len(hot) != len(tiered) {
 			t.Fatalf("seed %d: %d hot decisions, %d tiered", seed, len(hot), len(tiered))
@@ -173,6 +232,8 @@ func TestStorageOracleServerDecisions(t *testing.T) {
 					seed, i, hot[i], tiered[i])
 			}
 		}
+		t.Logf("seed %d: %d decisions, %d generalized, %d later elements, %d unlinked",
+			seed, len(hot), n.generalized, n.later, n.unlinked)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}

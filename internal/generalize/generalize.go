@@ -241,11 +241,7 @@ func (g *Generalizer) nextElement(q geo.STPoint, users []phl.UserID, tol Toleran
 	tm.start()
 	res := Result{Box: geo.STBoxAround(q), HKAnonymity: true}
 	for _, u := range users {
-		h := g.Store.History(u)
-		if h == nil {
-			continue
-		}
-		p, _, ok := h.Closest(q, g.Metric)
+		p, _, ok := phl.Closest(g.Store, u, q, g.Metric)
 		if !ok {
 			continue
 		}
@@ -371,11 +367,7 @@ func (s *Session) nearestSubset(q geo.STPoint, want int) []phl.UserID {
 	}
 	cands := make([]cand, 0, len(s.users))
 	for _, u := range s.users {
-		h := s.g.Store.History(u)
-		if h == nil {
-			continue
-		}
-		if _, d, ok := h.Closest(q, s.g.Metric); ok {
+		if _, d, ok := phl.Closest(s.g.Store, u, q, s.g.Metric); ok {
 			cands = append(cands, cand{u, d})
 		}
 	}

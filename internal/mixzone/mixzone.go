@@ -124,15 +124,12 @@ func (d Divergence) minAngle() float64 {
 // vector from their position at (or just before) t to their position one
 // horizon later. ok is false when the history has no samples on both
 // sides or the user does not move.
-func (d Divergence) heading(h *phl.History, t int64, m geo.STMetric) (float64, bool) {
-	if h == nil || h.Len() == 0 {
-		return 0, false
-	}
-	from, _, ok := h.Closest(geo.STPoint{T: t}, onlyTimeMetric())
+func (d Divergence) heading(store phl.Storer, u phl.UserID, t int64) (float64, bool) {
+	from, _, ok := phl.Closest(store, u, geo.STPoint{T: t}, onlyTimeMetric())
 	if !ok {
 		return 0, false
 	}
-	to, _, ok := h.Closest(geo.STPoint{T: t + d.horizon()}, onlyTimeMetric())
+	to, _, ok := phl.Closest(store, u, geo.STPoint{T: t + d.horizon()}, onlyTimeMetric())
 	if !ok || to.T <= from.T {
 		return 0, false
 	}
@@ -164,7 +161,7 @@ func FindDiverging(idx stindex.Index, store phl.Storer, issuer phl.UserID,
 	var kept []phl.UserID
 	var headings []float64
 	for _, c := range cands {
-		hd, ok := d.heading(store.History(c.User), t, m)
+		hd, ok := d.heading(store, c.User, t)
 		if !ok {
 			continue
 		}
@@ -255,11 +252,7 @@ func (o OnDemand) Plan(idx stindex.Index, store phl.Storer, issuer phl.UserID,
 	}
 	area := geo.RectAround(p)
 	for _, u := range users {
-		h := store.History(u)
-		if h == nil {
-			continue
-		}
-		if pt, _, found := h.Closest(geo.STPoint{P: p, T: t}, m); found {
+		if pt, _, found := phl.Closest(store, u, geo.STPoint{P: p, T: t}, m); found {
 			area = area.Extend(pt.P)
 		}
 	}

@@ -214,7 +214,9 @@ type Sample struct {
 // provides a durable hot/cold tiered one. Implementations must be safe
 // for concurrent use and must preserve Store's semantics exactly:
 // History returns samples in time order with arrival-order ties, and the
-// user-iteration methods enumerate users in first-seen order.
+// user-iteration methods enumerate users in first-seen order. A store
+// may also answer closest-sample reads without a history view; see the
+// Closest function.
 type Storer interface {
 	// Record appends a location sample for the user.
 	Record(u UserID, p geo.STPoint)
@@ -286,6 +288,35 @@ func (s *Store) History(u UserID) *History {
 		return h.View()
 	}
 	return nil
+}
+
+// Closest returns what s.History(u).Closest(q, m) returns, read under
+// the store's lock from the live history without taking a view; ok is
+// false when the user is unknown.
+func (s *Store) Closest(u UserID, q geo.STPoint, m geo.STMetric) (geo.STPoint, float64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if h := s.users[u]; h != nil {
+		return h.Closest(q, m)
+	}
+	return geo.STPoint{}, 0, false
+}
+
+// Closest returns the user's sample closest to q under m, and its
+// distance: exactly what s.History(u).Closest(q, m) returns, with ok
+// false for an unknown user. A store with a Closest method of its own
+// (Store, the tiered store) answers without building a history view;
+// any other Storer pays for History.
+func Closest(s Storer, u UserID, q geo.STPoint, m geo.STMetric) (geo.STPoint, float64, bool) {
+	if c, ok := s.(interface {
+		Closest(UserID, geo.STPoint, geo.STMetric) (geo.STPoint, float64, bool)
+	}); ok {
+		return c.Closest(u, q, m)
+	}
+	if h := s.History(u); h != nil {
+		return h.Closest(q, m)
+	}
+	return geo.STPoint{}, 0, false
 }
 
 // Users returns all known users in first-seen order.

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,5 +264,31 @@ func TestOutboxRegisterMetricsDefaults(t *testing.T) {
 	defer o.Close()
 	if o.QueueCapacity() != 3 {
 		t.Fatalf("QueueCapacity = %d", o.QueueCapacity())
+	}
+}
+
+// TestOutboxAdmitsWhileWorkersWaitForCPU is the starved-worker case: on
+// one P, a producer that never blocks keeps the workers from running,
+// so a queue of 4 fills after 4 calls. Admission must park on the full
+// queue long enough for a worker to drain it instead of shedding.
+func TestOutboxAdmitsWhileWorkersWaitForCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sink := &countingSink{}
+	o := NewOutbox(sink, Options{QueueSize: 4, Workers: 2, Clock: &vclock{}})
+	const calls = 1000
+	shed := 0
+	for i := 0; i < calls; i++ {
+		if err := o.TryDeliver(req(int64(i))); err == ErrQueueFull {
+			shed++
+		} else if err != nil {
+			t.Fatalf("TryDeliver(%d): %v", i, err)
+		}
+	}
+	o.Close()
+	if shed != 0 {
+		t.Fatalf("shed %d of %d requests while the workers were runnable", shed, calls)
+	}
+	if got := sink.deliveredCount(); got != calls {
+		t.Fatalf("delivered %d, want %d", got, calls)
 	}
 }

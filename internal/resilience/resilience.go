@@ -12,9 +12,9 @@
 // front of the service provider, with per-request deadlines,
 // exponential backoff + deterministic jitter retries (backoff.go) and a
 // per-service circuit breaker (breaker.go). Admission is fail-closed:
-// when the queue is full or the breaker is open, TryDeliver refuses
-// synchronously and the trusted server records the request as
-// suppressed (degraded), never forwarded.
+// when the queue stays full for one scheduler slice or the breaker is
+// open, TryDeliver refuses synchronously and the trusted server records
+// the request as suppressed (degraded), never forwarded.
 //
 // Every fault outcome is observable: the Outbox feeds the
 // histanon_resilience_* metric families and writes KindDelivery audit
@@ -101,7 +101,8 @@ const (
 // Options configures an Outbox. The zero value gets safe defaults.
 type Options struct {
 	// QueueSize bounds the number of requests awaiting delivery
-	// (default 1024). A full queue sheds new requests synchronously.
+	// (default 1024). A queue that stays full for 10 ms sheds new
+	// requests synchronously.
 	QueueSize int
 	// Workers is the number of concurrent delivery goroutines
 	// (default 4).
@@ -175,7 +176,9 @@ type Outbox struct {
 	breakers map[string]*Breaker
 
 	// closeMu serializes admission against Close: the queue channel may
-	// only be closed while no TryDeliver holds the read side.
+	// only be closed while no TryDeliver holds the read side. A
+	// TryDeliver parked on a full queue holds it for at most
+	// admissionWait, so Close waits at most that long for it.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -238,9 +241,9 @@ func (o *Outbox) breaker(service string) *Breaker {
 
 // TryDeliver admits a request into the delivery queue, or refuses
 // synchronously — the fail-closed path. It returns ErrQueueFull when
-// the queue is saturated, ErrBreakerOpen when the service's breaker is
-// open, and ErrClosed after shutdown; on any error the request has NOT
-// been and will never be forwarded.
+// the queue stays saturated for admissionWait, ErrBreakerOpen when the
+// service's breaker is open, and ErrClosed after shutdown; on any error
+// the request has NOT been and will never be forwarded.
 func (o *Outbox) TryDeliver(req *wire.Request) error {
 	return o.TryDeliverTraced(req, obs.TraceContext{})
 }
@@ -264,14 +267,30 @@ func (o *Outbox) TryDeliverTraced(req *wire.Request, tc obs.TraceContext) error 
 	}
 	select {
 	case o.queue <- p:
-		o.depth.Add(1)
-		o.Events.Inc(EventEnqueued)
-		return nil
 	default:
-		o.Events.Inc(EventShedQueueFull)
-		return ErrQueueFull
+		// The queue is full, often only because its workers are runnable
+		// but wait for a CPU that handlers and clients hold. Parking on
+		// the send frees this goroutine's P for them; the request is shed
+		// only if the queue stays full for a whole slice.
+		wait := time.NewTimer(admissionWait)
+		defer wait.Stop()
+		select {
+		case o.queue <- p:
+		case <-wait.C:
+			o.Events.Inc(EventShedQueueFull)
+			return ErrQueueFull
+		}
 	}
+	o.depth.Add(1)
+	o.Events.Inc(EventEnqueued)
+	return nil
 }
+
+// admissionWait is how long TryDeliver waits on a full queue before it
+// sheds: one slice of Go's scheduler, which preempts a goroutine that
+// has run this long, so that any runnable worker gets a CPU in that
+// time. It is real time whatever the outbox's Clock.
+const admissionWait = 10 * time.Millisecond
 
 // Deliver implements ts.Outbox for callers that cannot observe
 // admission failures; refused requests are already counted and audited

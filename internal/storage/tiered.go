@@ -736,7 +736,14 @@ func (t *TieredStore) History(u phl.UserID) *phl.History {
 	if !ok {
 		return nil
 	}
-	var coldParts [][]geo.STPoint
+	return t.historyLocked(tier)
+}
+
+// historyLocked is History for a known user; caller holds t.mu (read).
+// Stable merging is associative, so merging the cold parts with the
+// already merged in-memory tiers gives the order History always gave.
+func (t *TieredStore) historyLocked(tier *userTier) *phl.History {
+	var cold []geo.STPoint
 	for _, run := range tier.runs {
 		if run.ref.minT >= t.cut {
 			continue
@@ -745,11 +752,15 @@ func (t *TieredStore) History(u phl.UserID) *phl.History {
 		if err != nil {
 			continue // fault counted; fail-closed upstream
 		}
-		if pre := coldPrefix(pts, t.cut); len(pre) > 0 {
-			coldParts = append(coldParts, pre)
+		if pre := coldPrefix(pts, t.cut); len(pre) == 0 {
+			continue
+		} else if cold == nil {
+			cold = pre
+		} else {
+			cold = mergePts(cold, pre)
 		}
 	}
-	if len(coldParts) == 0 {
+	if cold == nil {
 		switch {
 		case tier.warm == nil || tier.warm.Len() == 0:
 			if tier.fresh == nil {
@@ -759,30 +770,75 @@ func (t *TieredStore) History(u phl.UserID) *phl.History {
 		case tier.fresh == nil || tier.fresh.Len() == 0:
 			return tier.warm.View()
 		}
+		return phl.HistoryFromPoints(hotPoints(tier))
 	}
-	var merged []geo.STPoint
-	for _, part := range coldParts {
-		if merged == nil {
-			merged = append([]geo.STPoint(nil), part...)
-		} else {
-			merged = mergePts(merged, part)
+	// mergePts always copies, so the result never adopts a cached run.
+	return phl.HistoryFromPoints(mergePts(cold, hotPoints(tier)))
+}
+
+// hotPoints returns the user's in-memory samples in History's order:
+// one tier's own array when the other is empty, else a stable merge in
+// which warm wins ties. Caller holds t.mu (read) and must not modify
+// the result.
+func hotPoints(tier *userTier) []geo.STPoint {
+	var warm, fresh []geo.STPoint
+	if tier.warm != nil {
+		warm = tier.warm.Points()
+	}
+	if tier.fresh != nil {
+		fresh = tier.fresh.Points()
+	}
+	switch {
+	case len(fresh) == 0:
+		return warm
+	case len(warm) == 0:
+		return fresh
+	}
+	return mergePts(warm, fresh)
+}
+
+// Closest returns exactly what History(u).Closest(q, m) returns, with
+// ok false for an unknown user. It answers from the in-memory tiers
+// when the user has no sample below the cut, or when q.T >= cut and
+// time puts every cold sample strictly farther than the in-memory
+// answer d (coldBoundLocked(q, m) > d); otherwise it merges the whole
+// history as History does, reading the cold runs and counting their
+// faults.
+//
+// The in-memory answer is exact, ties included. Every cold sample has
+// T <= cut-1, so its distance is at least the bound and strictly above
+// d; so is that of a late fresh sample below the cut, which both
+// arrays hold. In the merged array every cold sample precedes every
+// sample with T >= cut, so each of those, and Closest's start index,
+// shifts by the same count of cold samples: the samples at distance d
+// all have T >= cut and sit at the same offsets from the start index,
+// so the lo/hi alternation meets them in the same order, and neither
+// side's time pruning stops before them because the running best never
+// falls below d. A run whose minT is so far below q.T that the time
+// difference overflows falls back, as coldBoundLocked's own overflow
+// does.
+func (t *TieredStore) Closest(u phl.UserID, q geo.STPoint, m geo.STMetric) (geo.STPoint, float64, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	tier, ok := t.users[u]
+	if !ok {
+		return geo.STPoint{}, 0, false
+	}
+	b, bounded := t.coldBoundLocked(q, m)
+	hasCold := false
+	for _, run := range tier.runs {
+		if run.ref.minT < t.cut {
+			hasCold = true
+			bounded = bounded && q.T-run.ref.minT > 0
 		}
 	}
-	if tier.warm != nil && tier.warm.Len() > 0 {
-		if merged == nil {
-			merged = append([]geo.STPoint(nil), tier.warm.Points()...)
-		} else {
-			merged = mergePts(merged, tier.warm.Points())
+	if !hasCold || bounded {
+		p, d, ok := phl.HistoryFromPoints(hotPoints(tier)).Closest(q, m)
+		if !hasCold || (ok && b > d) {
+			return p, d, ok
 		}
 	}
-	if tier.fresh != nil && tier.fresh.Len() > 0 {
-		if merged == nil {
-			merged = append([]geo.STPoint(nil), tier.fresh.Points()...)
-		} else {
-			merged = mergePts(merged, tier.fresh.Points())
-		}
-	}
-	return phl.HistoryFromPoints(merged)
+	return t.historyLocked(tier).Closest(q, m)
 }
 
 // anyInLocked reports whether the user has a sample in the box, across
@@ -915,20 +971,28 @@ func (t *TieredStore) UsersInBox(b geo.STBox) []phl.UserID { return t.UsersIn(b)
 // CountUsersInBox implements stindex.Index.
 func (t *TieredStore) CountUsersInBox(b geo.STBox) int { return t.CountUsersIn(b) }
 
-// coldRuledOutLocked reports whether time alone puts every cold sample
-// at least kth from q, so that no cold run can pass KNearestUsers'
-// per-run pruning test. Cold samples have T <= cut-1 and DistToBox is
-// never below its time term, so for q.T >= cut each run lies at least
-// Scale·(q.T-(cut-1)) away. It is false before the first demotion, for
-// a historical query (q.T < cut), with fewer than k hot candidates
-// (kth = +Inf) and when the time difference overflows. Caller holds
-// t.mu (read).
-func (t *TieredStore) coldRuledOutLocked(q geo.STPoint, m geo.STMetric, kth float64) bool {
+// coldBoundLocked returns a lower bound on the distance from q to every
+// cold sample, and whether there is one: cold samples have T <= cut-1
+// and neither Dist nor DistToBox is ever below its time term, so for
+// q.T >= cut each lies at least Scale·(q.T-(cut-1)) away. There is no
+// bound before the first demotion, for a historical query (q.T < cut)
+// and when the time difference overflows. Caller holds t.mu (read).
+func (t *TieredStore) coldBoundLocked(q geo.STPoint, m geo.STMetric) (float64, bool) {
 	if t.cut == math.MinInt64 || q.T < t.cut {
-		return false
+		return 0, false
 	}
 	dt := q.T - (t.cut - 1)
-	return dt > 0 && float64(dt)*m.Scale() >= kth
+	return float64(dt) * m.Scale(), dt > 0
+}
+
+// coldRuledOutLocked reports whether time alone puts every cold sample
+// at least kth from q, so that no cold run can pass KNearestUsers'
+// per-run pruning test. It is false with fewer than k hot candidates
+// (kth = +Inf) and wherever coldBoundLocked has no bound. Caller holds
+// t.mu (read).
+func (t *TieredStore) coldRuledOutLocked(q geo.STPoint, m geo.STMetric, kth float64) bool {
+	b, ok := t.coldBoundLocked(q, m)
+	return ok && b >= kth
 }
 
 // KNearestUsers implements stindex.Index: the hot grid's answer,

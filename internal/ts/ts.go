@@ -1155,15 +1155,19 @@ func (s *Server) decayFor(p Policy) generalize.DecaySchedule {
 func (s *Server) unlink(st *userState, pol Policy, r *record) {
 	u, p := r.user, r.point
 	// A recent static-zone crossing makes rotation safe immediately.
-	lookback := p.T - 4*3600
-	if z, crossed := s.cfg.StaticZones.CrossedZone(s.store.History(u), lookback, p.T); crossed {
-		r.zone = z.Name
-		if r.zone == "" {
-			r.zone = "static"
+	// Without a static zone there is nothing to cross, and the history
+	// the test reads is not fetched.
+	if len(s.cfg.StaticZones.Zones()) > 0 {
+		lookback := p.T - 4*3600
+		if z, crossed := s.cfg.StaticZones.CrossedZone(s.store.History(u), lookback, p.T); crossed {
+			r.zone = z.Name
+			if r.zone == "" {
+				r.zone = "static"
+			}
+			s.rotate(u, st, p.T, r.zone, r.Trace)
+			r.Unlinked = true
+			return
 		}
-		s.rotate(u, st, p.T, r.zone, r.Trace)
-		r.Unlinked = true
-		return
 	}
 	// Otherwise plan an on-demand mix zone around the user.
 	plan, ok := s.cfg.OnDemand.Plan(s.index, s.store, u, p.P, p.T, pol.K-1, s.cfg.Metric)
@@ -1209,8 +1213,9 @@ func (s *Server) rotate(u phl.UserID, st *userState, t int64, zone string, tc ob
 	st.sessions = make(map[int]*generalize.Session)
 	st.atRisk = false
 	s.Counters.inc(evUnlinkings)
-	// Rotations are rare, so rendering the trace id here (rather than on
-	// the request hot path) costs nothing per request.
+	// Only a traced request renders its trace id here. Rotations are not
+	// rare (28% of generalized requests rotate on perfbench's `requests`
+	// workload), so a traced run pays this on many requests.
 	var tid string
 	if tc.Valid() {
 		tid = tc.TraceIDString()

@@ -211,6 +211,60 @@ func TestToleranceFailureTriggersUnlink(t *testing.T) {
 	}
 }
 
+// historyCounter is a Storer that counts History calls and answers
+// closest-sample reads from the store it wraps.
+type historyCounter struct {
+	phl.Storer
+	calls int
+}
+
+func (c *historyCounter) History(u phl.UserID) *phl.History {
+	c.calls++
+	return c.Storer.History(u)
+}
+
+func (c *historyCounter) Closest(u phl.UserID, q geo.STPoint, m geo.STMetric) (geo.STPoint, float64, bool) {
+	return phl.Closest(c.Storer, u, q, m)
+}
+
+// TestUnlinkWithoutStaticZonesReadsNoHistory checks that an unlinking
+// request on a server with no static zone builds no history view: the
+// on-demand plan reads closest samples only, and there is no zone whose
+// crossing a history could show.
+func TestUnlinkWithoutStaticZonesReadsNoHistory(t *testing.T) {
+	store := &historyCounter{Storer: phl.NewStore()}
+	cfg := Config{
+		DefaultPolicy: Policy{K: 3},
+		Store:         store,
+		Index:         stindex.NewGrid(stindex.ServingCell, stindex.ServingBucket),
+		Services: map[string]ServiceSpec{
+			"navigation": {Tolerance: generalize.Tolerance{MaxWidth: 10, MaxHeight: 10, MaxDuration: 10}},
+		},
+		OnDemand: mixzone.OnDemand{Quiet: 300, Divergence: mixzone.Divergence{MinAngle: 0.3}},
+	}
+	s, _ := newServer(t, cfg)
+	if err := s.AddLBQIDSpec(0, commuteLBQID); err != nil {
+		t.Fatal(err)
+	}
+	base := at(0, 7*tgran.Hour)
+	dirs := [][2]float64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+	for u := 1; u <= 4; u++ {
+		d := dirs[u-1]
+		for step := int64(0); step <= 12; step++ {
+			s.RecordLocation(phl.UserID(u),
+				pt(500*d[0]+float64(step)*120*d[0], 500*d[1]+float64(step)*120*d[1], base+step*120))
+		}
+	}
+	store.calls = 0
+	dec := s.Request(0, pt(50, 50, base+600), "navigation", nil)
+	if !dec.Unlinked {
+		t.Fatalf("expected an unlinking action: %+v", dec)
+	}
+	if store.calls != 0 {
+		t.Fatalf("the unlinking request took %d history views", store.calls)
+	}
+}
+
 func TestUnlinkResetsExposure(t *testing.T) {
 	cfg := Config{
 		DefaultPolicy: Policy{K: 3},
