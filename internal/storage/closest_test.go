@@ -153,28 +153,60 @@ func TestTieredClosestPresentReadsNoColdRun(t *testing.T) {
 	}
 }
 
-// TestTieredClosestTimeOverflowFallsBack pins the overflow guard: a
-// cold sample so far below the query that q.T - T wraps around int64
-// gets a small distance from History's Closest, so Closest must merge
-// the cold tier to return the same answer.
-func TestTieredClosestTimeOverflowFallsBack(t *testing.T) {
-	ts := mustOpen(t, Options{Dir: "store", FS: NewMemFS(), HotWindow: 100, SnapshotEvery: 1 << 20})
-	defer ts.Close()
-	ts.Record(0, geo.STPoint{T: math.MinInt64 + 5})
-	ts.Record(0, geo.STPoint{P: geo.Point{X: 50}, T: math.MaxInt64 - 5})
-	if err := ts.Checkpoint(); err != nil {
-		t.Fatal(err)
+// TestTieredClosestFallsBackOnOverflowAndUnderflow pins the guards
+// where time differences stop being exact. A sample below the cut so
+// far below the query that q.T - T wraps around int64 gets a small
+// distance from History's Closest, whether it is cold or a late
+// arrival (here behind two cold samples that stop the merged scan
+// short of it); and a time scale so small that the time term's square
+// underflows puts a cold sample at distance 0, tied with an in-memory
+// one. In each case the in-memory tiers alone answer differently, so
+// Closest must merge the cold tier to return History's answer.
+func TestTieredClosestFallsBackOnOverflowAndUnderflow(t *testing.T) {
+	const low, high = math.MinInt64 + 5, math.MaxInt64 - 5
+	cases := []struct {
+		name            string
+		cold, hot, late []geo.STPoint
+		q               geo.STPoint
+		m               geo.STMetric
+	}{
+		{name: "cold sample wraps",
+			cold: []geo.STPoint{{T: low}}, hot: []geo.STPoint{{P: geo.Point{X: 50}, T: high}},
+			q: geo.STPoint{T: high}},
+		{name: "late arrival wraps",
+			cold: []geo.STPoint{{T: 0}, {T: 1}}, hot: []geo.STPoint{{P: geo.Point{X: 50}, T: high}},
+			late: []geo.STPoint{{T: low}}, q: geo.STPoint{T: high}},
+		{name: "time term underflows",
+			cold: []geo.STPoint{{T: 0}}, hot: []geo.STPoint{{T: 1000}},
+			q: geo.STPoint{T: 1000}, m: geo.STMetric{TimeScale: 1e-170}},
 	}
-	if st := ts.Stats(); st.ColdSamples != 1 {
-		t.Fatalf("setup: %d cold samples, want 1", st.ColdSamples)
-	}
-	q := geo.STPoint{T: math.MaxInt64 - 5}
-	p, d, ok := ts.Closest(0, q, geo.STMetric{})
-	wp, wd, wok := historyClosest(ts, 0, q, geo.STMetric{})
-	if p != wp || d != wd || ok != wok {
-		t.Fatalf("Closest %+v %g %v, History gives %+v %g %v", p, d, ok, wp, wd, wok)
-	}
-	if p.T != math.MinInt64+5 {
-		t.Fatalf("History's answer %+v is not the wrapped cold sample: the case tests nothing", wp)
+	for _, c := range cases {
+		ts := mustOpen(t, Options{Dir: "store", FS: NewMemFS(), HotWindow: 100, SnapshotEvery: 1 << 20})
+		for _, p := range append(c.cold, c.hot...) {
+			ts.Record(0, p)
+		}
+		if err := ts.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.late {
+			ts.Record(0, p)
+		}
+		if st := ts.Stats(); st.ColdSamples != len(c.cold) {
+			t.Fatalf("%s: %d cold samples, want %d", c.name, st.ColdSamples, len(c.cold))
+		}
+		p, d, ok := ts.Closest(0, c.q, c.m)
+		wp, wd, wok := historyClosest(ts, 0, c.q, c.m)
+		if p != wp || d != wd || ok != wok {
+			t.Fatalf("%s: Closest %+v %g %v, History gives %+v %g %v", c.name, p, d, ok, wp, wd, wok)
+		}
+		ts.mu.RLock()
+		hp, _, _ := phl.HistoryFromPoints(hotPoints(ts.users[0])).Closest(c.q, c.m)
+		ts.mu.RUnlock()
+		if hp == wp {
+			t.Fatalf("%s: the in-memory tiers also give History's answer %+v: the case tests nothing", c.name, wp)
+		}
+		if err := ts.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -752,11 +752,11 @@ func (t *TieredStore) historyLocked(tier *userTier) *phl.History {
 		if err != nil {
 			continue // fault counted; fail-closed upstream
 		}
-		if pre := coldPrefix(pts, t.cut); len(pre) == 0 {
-			continue
-		} else if cold == nil {
+		switch pre := coldPrefix(pts, t.cut); {
+		case len(pre) == 0:
+		case cold == nil:
 			cold = pre
-		} else {
+		default:
 			cold = mergePts(cold, pre)
 		}
 	}
@@ -800,23 +800,24 @@ func hotPoints(tier *userTier) []geo.STPoint {
 // Closest returns exactly what History(u).Closest(q, m) returns, with
 // ok false for an unknown user. It answers from the in-memory tiers
 // when the user has no sample below the cut, or when q.T >= cut and
-// time puts every cold sample strictly farther than the in-memory
-// answer d (coldBoundLocked(q, m) > d); otherwise it merges the whole
-// history as History does, reading the cold runs and counting their
-// faults.
+// the in-memory answer d is strictly nearer than b, the distance from
+// q to its own position at the cut's last instant cut-1; otherwise it
+// merges the whole history as History does, reading the cold runs and
+// counting their faults.
 //
 // The in-memory answer is exact, ties included. Every cold sample has
-// T <= cut-1, so its distance is at least the bound and strictly above
-// d; so is that of a late fresh sample below the cut, which both
-// arrays hold. In the merged array every cold sample precedes every
-// sample with T >= cut, so each of those, and Closest's start index,
-// shifts by the same count of cold samples: the samples at distance d
-// all have T >= cut and sit at the same offsets from the start index,
-// so the lo/hi alternation meets them in the same order, and neither
-// side's time pruning stops before them because the running best never
-// falls below d. A run whose minT is so far below q.T that the time
-// difference overflows falls back, as coldBoundLocked's own overflow
-// does.
+// T <= cut-1, and Dist rounds monotonically in each coordinate gap, so
+// its distance is at least b and strictly above d; so is that of a
+// late fresh sample below the cut, which both arrays hold. In the
+// merged array every cold sample precedes every sample with T >= cut,
+// so each of those, and Closest's start index, shifts by the same
+// count of cold samples: the samples at distance d all have T >= cut
+// and sit at the same offsets from the start index, so the lo/hi
+// alternation meets them in the same order, and neither side's time
+// pruning stops before them because the running best never falls
+// below d. The argument needs exact time differences, so it falls back
+// when the difference between q.T and the user's oldest sample below
+// the cut, cold or late, overflows.
 func (t *TieredStore) Closest(u phl.UserID, q geo.STPoint, m geo.STMetric) (geo.STPoint, float64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -824,19 +825,26 @@ func (t *TieredStore) Closest(u phl.UserID, q geo.STPoint, m geo.STMetric) (geo.
 	if !ok {
 		return geo.STPoint{}, 0, false
 	}
-	b, bounded := t.coldBoundLocked(q, m)
-	hasCold := false
+	// exact: q is past the cut and no time difference between q and a
+	// cold sample overflows.
+	hasCold, exact := false, q.T >= t.cut
 	for _, run := range tier.runs {
 		if run.ref.minT < t.cut {
 			hasCold = true
-			bounded = bounded && q.T-run.ref.minT > 0
+			exact = exact && q.T-run.ref.minT > 0
 		}
 	}
-	if !hasCold || bounded {
-		p, d, ok := phl.HistoryFromPoints(hotPoints(tier)).Closest(q, m)
-		if !hasCold || (ok && b > d) {
-			return p, d, ok
-		}
+	if hasCold && !exact {
+		return t.historyLocked(tier).Closest(q, m)
+	}
+	hot := hotPoints(tier)
+	p, d, ok := phl.HistoryFromPoints(hot).Closest(q, m)
+	if !hasCold {
+		return p, d, ok
+	}
+	// hot[0] is the oldest late arrival below the cut, if there is one.
+	if ok && (hot[0].T >= t.cut || q.T-hot[0].T > 0) && m.Dist(geo.STPoint{P: q.P, T: t.cut - 1}, q) > d {
+		return p, d, ok
 	}
 	return t.historyLocked(tier).Closest(q, m)
 }
@@ -971,28 +979,20 @@ func (t *TieredStore) UsersInBox(b geo.STBox) []phl.UserID { return t.UsersIn(b)
 // CountUsersInBox implements stindex.Index.
 func (t *TieredStore) CountUsersInBox(b geo.STBox) int { return t.CountUsersIn(b) }
 
-// coldBoundLocked returns a lower bound on the distance from q to every
-// cold sample, and whether there is one: cold samples have T <= cut-1
-// and neither Dist nor DistToBox is ever below its time term, so for
-// q.T >= cut each lies at least Scale·(q.T-(cut-1)) away. There is no
-// bound before the first demotion, for a historical query (q.T < cut)
-// and when the time difference overflows. Caller holds t.mu (read).
-func (t *TieredStore) coldBoundLocked(q geo.STPoint, m geo.STMetric) (float64, bool) {
-	if t.cut == math.MinInt64 || q.T < t.cut {
-		return 0, false
-	}
-	dt := q.T - (t.cut - 1)
-	return float64(dt) * m.Scale(), dt > 0
-}
-
 // coldRuledOutLocked reports whether time alone puts every cold sample
 // at least kth from q, so that no cold run can pass KNearestUsers'
-// per-run pruning test. It is false with fewer than k hot candidates
-// (kth = +Inf) and wherever coldBoundLocked has no bound. Caller holds
+// per-run pruning test. Cold samples have T <= cut-1 and DistToBox is
+// never below its time term, so for q.T >= cut each run lies at least
+// Scale·(q.T-(cut-1)) away. It is false before the first demotion, for
+// a historical query (q.T < cut), with fewer than k hot candidates
+// (kth = +Inf) and when the time difference overflows. Caller holds
 // t.mu (read).
 func (t *TieredStore) coldRuledOutLocked(q geo.STPoint, m geo.STMetric, kth float64) bool {
-	b, ok := t.coldBoundLocked(q, m)
-	return ok && b >= kth
+	if t.cut == math.MinInt64 || q.T < t.cut {
+		return false
+	}
+	dt := q.T - (t.cut - 1)
+	return dt > 0 && float64(dt)*m.Scale() >= kth
 }
 
 // KNearestUsers implements stindex.Index: the hot grid's answer,
