@@ -212,6 +212,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.NumUsers()
 		s.CountUsersIn(geo.STBox{Area: rect(0, 0, 10, 10), Time: iv(0, 10)})
+		s.Closest(UserID(i%7), pt(5, 0, int64(i)), geo.STMetric{})
 	}
 	<-done
 	if s.NumSamples() != 1000 {

@@ -115,6 +115,33 @@ func TestTieredClosestMatchesHistory(t *testing.T) {
 	t.Logf("%d checks; present queries: %d from memory, %d merged", checks, fromMemory, merged)
 }
 
+// TestTieredClosestUnderConcurrentRecord reads closest samples, present
+// and historical, while another goroutine records and the store demotes
+// and snapshots; the race detector checks the two sides.
+func TestTieredClosestUnderConcurrentRecord(t *testing.T) {
+	ts := mustOpen(t, Options{Dir: "store", FS: NewMemFS(), HotWindow: 50, SnapshotEvery: 32, ColdCacheEntries: 2})
+	defer ts.Close()
+	const n, users = 2000, 5
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			ts.Record(phl.UserID(i%users), geo.STPoint{P: geo.Point{X: float64(i % 13)}, T: int64(i)})
+		}
+	}()
+	for i := 0; i < n; i++ {
+		q := geo.STPoint{P: geo.Point{X: 6}, T: int64(i)}
+		if i%2 == 1 {
+			q.T /= 4 // most likely below the cut
+		}
+		ts.Closest(phl.UserID(i%users), q, geo.STMetric{})
+	}
+	<-done
+	if st := ts.Stats(); st.Demotions == 0 {
+		t.Fatalf("no demotion while reading: %+v", st)
+	}
+}
+
 // TestTieredClosestPresentReadsNoColdRun checks where the saving sits:
 // a present-time closest-sample read for a user with cold runs leaves
 // the cold-run counters unchanged, while a historical one reads them.
