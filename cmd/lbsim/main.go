@@ -79,21 +79,10 @@ func main() {
 	fmt.Printf("attack (pseudonym+tracking, theta=0.6): %d linked groups, %d identified, mean |AS|=%.1f\n",
 		len(rep.Groups), rep.IdentifiedGroups(), rep.MeanAnonymity())
 
-	series := res.ExposedSeries()
-	if len(series) > 0 {
-		minAS, ident := -1, 0
-		pure := &sp.Attacker{Knowledge: res.Server.Store()}
-		for _, reqs := range series {
-			g := pure.AttackSeries(reqs)
-			if minAS < 0 || len(g.Candidates) < minAS {
-				minAS = len(g.Candidates)
-			}
-			if g.Identified {
-				ident++
-			}
-		}
+	if exposed := res.AttackExposed(); len(exposed.Groups) > 0 {
+		minAS, ident := exposed.MinAnonymity(), exposed.IdentifiedGroups()
 		fmt.Printf("exposed LBQID series: %d users, min |AS|=%d, identified=%d (Theorem 1 expects min >= k and 0 identified)\n",
-			len(series), minAS, ident)
+			len(exposed.Groups), minAS, ident)
 		if minAS < *k || ident > 0 {
 			fmt.Fprintln(os.Stderr, "WARNING: historical k-anonymity violated for some series")
 			os.Exit(1)

@@ -12,9 +12,9 @@ package main
 import (
 	"fmt"
 
-	"histanon/internal/anon"
 	"histanon/internal/geo"
 	"histanon/internal/sim"
+	"histanon/internal/sp"
 	"histanon/internal/ts"
 )
 
@@ -34,7 +34,7 @@ func main() {
 	knowledge := res.Server.Store()
 
 	fmt.Println("=== attack 1: naive SP, exact locations (no trusted server) ===")
-	naiveIdentified := 0
+	var naive []sp.Series
 	commuters := 0
 	for _, a := range res.World.Agents {
 		if !a.Commuter {
@@ -42,40 +42,28 @@ func main() {
 		}
 		commuters++
 		// The naive SP sees every commute request at exact resolution.
-		var boxes []geo.STBox
+		s := sp.Series{Issuer: a.User}
 		for _, ev := range res.World.Requests() {
 			if ev.User == a.User && ev.Service != "poi-finder" && ev.Service != "localized-news" {
-				boxes = append(boxes, geo.STBoxAround(ev.Point))
+				s.Boxes = append(s.Boxes, geo.STBoxAround(ev.Point))
 			}
 		}
-		if len(boxes) == 0 {
-			continue
-		}
-		if len(anon.HistoricalAnonymitySet(knowledge, boxes)) == 1 {
-			naiveIdentified++
+		if len(s.Boxes) > 0 {
+			naive = append(naive, s)
 		}
 	}
 	fmt.Printf("commuters identified from exact request series: %d of %d\n\n",
-		naiveIdentified, commuters)
+		sp.Score(knowledge, naive).IdentifiedGroups(), commuters)
 
 	fmt.Println("=== attack 2: same knowledge vs the trusted server's output ===")
-	series := res.ExposedSeries()
-	fmt.Printf("fully exposed LBQID series: %d\n", len(series))
-	identified, minAS := 0, -1
-	for u, reqs := range series {
-		boxes := make([]geo.STBox, len(reqs))
-		for i, r := range reqs {
-			boxes[i] = r.Context
-		}
-		as := anon.HistoricalAnonymitySet(knowledge, boxes)
-		if minAS < 0 || len(as) < minAS {
-			minAS = len(as)
-		}
-		if len(as) == 1 {
-			identified++
-			fmt.Printf("  user %v IDENTIFIED (should not happen)\n", u)
+	rep := res.AttackExposed()
+	fmt.Printf("fully exposed LBQID series: %d\n", len(rep.Groups))
+	for _, g := range rep.Groups {
+		if g.Identified {
+			fmt.Printf("  user %v IDENTIFIED (should not happen)\n", g.Issuer)
 		}
 	}
+	identified, minAS := rep.IdentifiedGroups(), rep.MinAnonymity()
 	fmt.Printf("identified: %d, smallest candidate set: %d (Theorem 1: >= k=%d)\n",
 		identified, minAS, k)
 	if identified == 0 && minAS >= k {

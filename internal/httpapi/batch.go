@@ -36,7 +36,9 @@ import (
 // durable store could not persist ends the batch with 503
 // (storage_wal_failed) and no later frame is processed. Service-call
 // frames go through the same traced request pipeline as POST
-// /v1/request, including per-frame traceparent propagation.
+// /v1/request, including per-frame traceparent propagation. A location
+// or service call whose timestamp fails wire.ValidateTime is a malformed
+// frame; the JSON endpoints answer it with 400 too.
 
 // WireContentType is the media type of the binary wire framing.
 const WireContentType = "application/x-histanon-wire"
@@ -135,6 +137,9 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		switch dec.Type() {
 		case wire.FrameLocation:
 			l, err := wire.ParseLocationPayload(dec.Flags(), dec.Payload())
+			if err == nil {
+				err = wire.ValidateTime(l.T)
+			}
 			if err != nil {
 				h.rejectBatch(w, run, err.Error())
 				return
@@ -146,6 +151,9 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
+			if err == nil {
+				err = wire.ValidateTime(c.T)
+			}
 			if err != nil {
 				h.rejectBatch(w, run, err.Error())
 				return

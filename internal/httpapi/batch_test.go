@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -356,4 +357,89 @@ func TestBatchMalformedFrameRecordsEarlierRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOutOfRangeTimeRejectedOnEveryChannel: a timestamp at or beyond
+// ±2^53 s, where time differences wrap int64, answers 400 on
+// /v1/location, /v1/request and both frame types of /v1/batch, and the
+// sample is not recorded. In a batch, the locations ahead of the frame
+// are recorded, as for any malformed frame.
+func TestOutOfRangeTimeRejectedOnEveryChannel(t *testing.T) {
+	const n = 3
+	run := func() []byte {
+		var frames []byte
+		for u := int64(10); u < 10+n; u++ {
+			frames = wire.AppendLocation(frames, wire.LocationUpdate{User: u, X: float64(u), Y: 2, T: 3})
+		}
+		return frames
+	}
+	for _, at := range []int64{math.MaxInt64 - 5, math.MinInt64 + 5} {
+		for _, ch := range []struct {
+			name  string
+			batch bool
+			post  func(t *testing.T, url string) int
+		}{
+			{"location", false, func(t *testing.T, url string) int {
+				return postJSON(t, url+"/v1/location", LocationRequest{User: 1, X: 1, Y: 1, T: at})
+			}},
+			{"request", false, func(t *testing.T, url string) int {
+				return postJSON(t, url+"/v1/request", ServiceRequest{User: 1, X: 1, Y: 1, T: at, Service: "navigation"})
+			}},
+			{"batch location", true, func(t *testing.T, url string) int {
+				return postFrames(t, url, n+1, wire.AppendLocation(run(), wire.LocationUpdate{User: 1, X: 1, Y: 1, T: at}))
+			}},
+			{"batch service_call", true, func(t *testing.T, url string) int {
+				frames, err := wire.AppendServiceCall(run(), wire.ServiceCall{User: 1, X: 1, Y: 1, T: at, Service: "navigation"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return postFrames(t, url, n+1, frames)
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s T=%d", ch.name, at), func(t *testing.T) {
+				hts, srv, provider := newTestServer(t)
+				if status := ch.post(t, hts.URL); status != http.StatusBadRequest {
+					t.Fatalf("status %d, want 400", status)
+				}
+				want := 0
+				if ch.batch {
+					want = n
+				}
+				if got := srv.Store().NumSamples(); got != want {
+					t.Fatalf("recorded %d samples, want %d", got, want)
+				}
+				if got := srv.Counters.Get("requests"); got != 0 {
+					t.Fatalf("decided %d requests, want 0", got)
+				}
+				if reqs := provider.Requests(); len(reqs) != 0 {
+					t.Fatalf("forwarded %d requests, want none", len(reqs))
+				}
+			})
+		}
+	}
+}
+
+func postJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+func postFrames(t *testing.T, url string, count int, frames []byte) int {
+	t.Helper()
+	batch, err := wire.AppendBatch(nil, count, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postBatch(t, url, batch, "")
+	resp.Body.Close()
+	return resp.StatusCode
 }

@@ -467,6 +467,10 @@ func (h *Handler) handleLocation(w http.ResponseWriter, r *http.Request) {
 	if !h.decode(w, r, &req) {
 		return
 	}
+	if err := wire.ValidateTime(req.T); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
 	if err := h.srv.RecordLocation(phl.UserID(req.User), geo.STPoint{
 		P: geo.Point{X: req.X, Y: req.Y}, T: req.T,
 	}); err != nil {
@@ -486,6 +490,10 @@ func (h *Handler) handleRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := wire.ValidateData(req.Data); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
+	if err := wire.ValidateTime(req.T); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}

@@ -210,6 +210,38 @@ func MaxPairLikelihood(a, b []*wire.Request, f Func) float64 {
 	return best
 }
 
+// RotationLikelihoods measures how well f links each user's pseudonyms
+// across a rotation (§5.2). byUser holds each user's requests in time
+// order. At every pseudonym change it returns f's MaxPairLikelihood
+// between the last ≤w requests under the old pseudonym and the first
+// ≤w under the new one; a segment shorter than w lends no requests of
+// its neighbours to the window. Values come in order of byUser and of
+// time, and with limit > 0 at most limit of them. No pseudonym change
+// gives none.
+func RotationLikelihoods(byUser [][]*wire.Request, w, limit int, f Func) []float64 {
+	var out []float64
+	for _, reqs := range byUser {
+		for j := 1; j < len(reqs); j++ {
+			old, cur := reqs[j-1].Pseudonym, reqs[j].Pseudonym
+			if cur == old {
+				continue
+			}
+			if limit > 0 && len(out) == limit {
+				return out
+			}
+			lo, hi := j-1, j+1
+			for lo > 0 && j-lo < w && reqs[lo-1].Pseudonym == old {
+				lo--
+			}
+			for hi < len(reqs) && hi-j < w && reqs[hi].Pseudonym == cur {
+				hi++
+			}
+			out = append(out, MaxPairLikelihood(reqs[lo:j], reqs[j:hi], f))
+		}
+	}
+	return out
+}
+
 type unionFind struct {
 	parent []int
 	rank   []int

@@ -230,3 +230,75 @@ func TestComponentsRandomizedPartition(t *testing.T) {
 		}
 	}
 }
+
+// spanFunc scores a pair by how far apart the two requests' IDs are, so
+// the max over a window reveals its first and last request, and it
+// records every pair it is asked about.
+type spanFunc struct{ pairs [][2]wire.MsgID }
+
+func (f *spanFunc) Likelihood(a, b *wire.Request) float64 {
+	f.pairs = append(f.pairs, [2]wire.MsgID{a.ID, b.ID})
+	d := a.ID - b.ID
+	if d < 0 {
+		d = -d
+	}
+	return float64(d) / 100
+}
+
+// segments returns one user's requests, IDs counting from 0 in time
+// order, with a pseudonym per segment of the given lengths.
+func segments(lens ...int) []*wire.Request {
+	var out []*wire.Request
+	for s, n := range lens {
+		for i := 0; i < n; i++ {
+			out = append(out, &wire.Request{ID: wire.MsgID(len(out)), Pseudonym: wire.Pseudonym(rune('a' + s))})
+		}
+	}
+	return out
+}
+
+func TestRotationLikelihoodsWindow(t *testing.T) {
+	// Two segments of six: the window is the last w requests of the
+	// first and the first w of the second, so the widest pair spans
+	// 2w−1 IDs.
+	for _, w := range []int{3, 4} {
+		got := RotationLikelihoods([][]*wire.Request{segments(6, 6)}, w, 0, &spanFunc{})
+		if want := float64(2*w-1) / 100; len(got) != 1 || got[0] != want {
+			t.Fatalf("w=%d: %v, want [%g]", w, got, want)
+		}
+	}
+}
+
+func TestRotationLikelihoodsShortSegmentStaysInside(t *testing.T) {
+	// a a a | b | c c c: each rotation pairs b with its own neighbour
+	// only; a and c are never compared.
+	reqs := segments(3, 1, 3)
+	f := &spanFunc{}
+	got := RotationLikelihoods([][]*wire.Request{reqs}, 3, 0, f)
+	if want := []float64{0.03, 0.03}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("likelihoods %v, want %v", got, want)
+	}
+	for _, p := range f.pairs {
+		if reqs[p[0]].Pseudonym == "a" && reqs[p[1]].Pseudonym == "c" {
+			t.Fatalf("paired request %d under a with request %d under c", p[0], p[1])
+		}
+	}
+}
+
+func TestRotationLikelihoodsLimit(t *testing.T) {
+	byUser := [][]*wire.Request{segments(2, 2, 2), segments(1, 1)}
+	if got := RotationLikelihoods(byUser, 3, 0, &spanFunc{}); len(got) != 3 {
+		t.Fatalf("unlimited: %v, want 3 rotations", got)
+	}
+	got := RotationLikelihoods(byUser, 3, 2, &spanFunc{})
+	if want := []float64{0.03, 0.03}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("limit 2: %v, want the first user's %v", got, want)
+	}
+}
+
+func TestRotationLikelihoodsNoRotation(t *testing.T) {
+	byUser := [][]*wire.Request{segments(5), segments(1), nil}
+	if got := RotationLikelihoods(byUser, 3, 0, &spanFunc{}); len(got) != 0 {
+		t.Fatalf("no pseudonym change: %v, want none", got)
+	}
+}

@@ -15,9 +15,9 @@
 //
 // Privacy is measured against the recording-SP threat model of §5: the
 // attacker holds the full PHL and intersects LT-consistent candidates
-// across each pseudonym's forwarded boxes (the internal/sp attack
-// primitive); cross-rotation linkability uses internal/link's Tracking
-// attacker. QoS is suppression, cloak area and deferral latency.
+// across each pseudonym's forwarded boxes (sp.Score); cross-rotation
+// linkability is link.RotationLikelihoods under the Tracking attacker.
+// QoS is suppression, cloak area and deferral latency.
 
 package sim
 
@@ -32,6 +32,7 @@ import (
 	"histanon/internal/mixzone"
 	"histanon/internal/mobility"
 	"histanon/internal/phl"
+	"histanon/internal/sp"
 	"histanon/internal/stindex"
 	"histanon/internal/tgran"
 	"histanon/internal/wire"
@@ -329,107 +330,27 @@ func evalApproach(w *compWorkload, approach string, outs []compOutcome, k int, c
 		row.BelowKPct = 100 * float64(below) / float64(len(ks))
 	}
 
-	// Re-identification: the §5 recording SP intersects LT-consistent
-	// candidates across each pseudonym's forwarded boxes. A series is
-	// re-identified when the intersection is exactly its issuer.
-	type seriesKey struct {
-		u   phl.UserID
-		seg int
+	// Privacy against the §5 recording SP: sp.Score on the first
+	// caps.users pseudonym series, ≤caps.boxes boxes each, and the
+	// Tracking attacker's likelihood across each user's rotations, over
+	// the last and first ≤3 forwarded requests of the two segments.
+	log := make([]sp.Logged, len(fwdIdx))
+	for j, i := range fwdIdx {
+		u := w.reqs[i].User
+		log[j] = sp.Logged{Issuer: u, Req: &wire.Request{
+			Pseudonym: wire.Pseudonym(fmt.Sprintf("%v.%d", u, outs[i].seg)), Context: outs[i].box}}
 	}
-	series := map[seriesKey][]geo.STBox{}
-	var order []seriesKey
-	for _, i := range fwdIdx {
-		key := seriesKey{w.reqs[i].User, outs[i].seg}
-		if _, seen := series[key]; !seen {
-			order = append(order, key)
-		}
-		if len(series[key]) < caps.boxes {
-			series[key] = append(series[key], outs[i].box)
-		}
+	series, byUser := sp.Split(log, caps.boxes)
+	if rep := sp.Score(w.store, series[:min(len(series), caps.users)]); len(rep.Groups) > 0 {
+		row.ReidPct = 100 * float64(rep.IdentifiedGroups()) / float64(len(rep.Groups))
+		row.MeanAnonSet = rep.MeanAnonymity()
 	}
-	attacked, identified := 0, 0
-	var anonSum float64
-	for _, key := range order {
-		if attacked >= caps.users {
-			break
-		}
-		cands := w.store.LTConsistentUsers(series[key])
-		attacked++
-		anonSum += float64(len(cands))
-		if len(cands) == 1 && cands[0] == key.u {
-			identified++
-		}
-	}
-	if attacked > 0 {
-		row.ReidPct = 100 * float64(identified) / float64(attacked)
-		row.MeanAnonSet = anonSum / float64(attacked)
-	}
-
-	// Cross-rotation linkability: can the Tracking attacker stitch
-	// consecutive segments back together across the zone silence?
-	if vals := crossSegmentLink(w, outs, fwdIdx); len(vals) > 0 {
+	const maxBoundaries = 400 // stated in the table notes
+	if vals := link.RotationLikelihoods(byUser, 3, maxBoundaries, link.Tracking{}); len(vals) > 0 {
 		sort.Float64s(vals)
-		idx := len(vals) * 95 / 100
-		if idx >= len(vals) {
-			idx = len(vals) - 1
-		}
-		row.LinkP95 = vals[idx]
+		row.LinkP95 = vals[len(vals)*95/100]
 	}
 	return row
-}
-
-// crossSegmentLink computes, for every pseudonym rotation boundary, the
-// internal/link Tracking likelihood between the old segment's last
-// forwarded requests and the new segment's first ones.
-func crossSegmentLink(w *compWorkload, outs []compOutcome, fwdIdx []int) []float64 {
-	perUser := map[phl.UserID][]int{}
-	var users []phl.UserID
-	rotated := false
-	for _, i := range fwdIdx {
-		u := w.reqs[i].User
-		if _, seen := perUser[u]; !seen {
-			users = append(users, u)
-		}
-		perUser[u] = append(perUser[u], i)
-		if outs[i].seg > 0 {
-			rotated = true
-		}
-	}
-	if !rotated {
-		return nil
-	}
-	tracker := link.Tracking{MaxSpeed: 17, HalfLife: 900}
-	toWire := func(idxs []int) []*wire.Request {
-		out := make([]*wire.Request, len(idxs))
-		for j, i := range idxs {
-			out[j] = &wire.Request{Context: outs[i].box}
-		}
-		return out
-	}
-	var vals []float64
-	const maxBoundaries = 400 // stated in the table notes
-	for _, u := range users {
-		idxs := perUser[u]
-		for j := 1; j < len(idxs) && len(vals) < maxBoundaries; j++ {
-			if outs[idxs[j]].seg == outs[idxs[j-1]].seg {
-				continue
-			}
-			tail := idxs[:j]
-			if len(tail) > 3 {
-				tail = tail[len(tail)-3:]
-			}
-			head := idxs[j:]
-			// Keep only the new segment's first requests.
-			if len(head) > 3 {
-				head = head[:3]
-			}
-			vals = append(vals, link.MaxPairLikelihood(toWire(tail), toWire(head), tracker))
-		}
-		if len(vals) >= maxBoundaries {
-			break
-		}
-	}
-	return vals
 }
 
 // ECompFrontier is the E-comp-frontier experiment: the privacy-vs-QoS

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"histanon/internal/anon"
 	"histanon/internal/baseline"
 	"histanon/internal/generalize"
 	"histanon/internal/geo"
@@ -17,7 +16,6 @@ import (
 	"histanon/internal/sp"
 	"histanon/internal/stindex"
 	"histanon/internal/ts"
-	"histanon/internal/wire"
 )
 
 // Experiment pairs an identifier with its runner.
@@ -242,29 +240,8 @@ func E6() *Table {
 	for _, k := range []int{2, 5, 10} {
 		cfg := DefaultScenario()
 		cfg.Policy = ts.Policy{K: k}
-		res := Run(cfg)
-		attacker := &sp.Attacker{Knowledge: res.Server.Store()}
-		series := res.ExposedSeries()
-		minAS, sumAS, identified := -1, 0, 0
-		for _, reqs := range series {
-			rep := attacker.AttackSeries(reqs)
-			n := len(rep.Candidates)
-			if minAS < 0 || n < minAS {
-				minAS = n
-			}
-			sumAS += n
-			if rep.Identified {
-				identified++
-			}
-		}
-		mean := 0.0
-		if len(series) > 0 {
-			mean = float64(sumAS) / float64(len(series))
-		}
-		if minAS < 0 {
-			minAS = 0
-		}
-		t.AddRow(k, len(series), minAS, mean, identified)
+		rep := Run(cfg).AttackExposed()
+		t.AddRow(k, len(rep.Groups), rep.MinAnonymity(), rep.MeanAnonymity(), rep.IdentifiedGroups())
 	}
 	return t
 }
@@ -320,29 +297,20 @@ func E7() *Table {
 				areas.Add(c.Box.Area.Area())
 			}
 		}
-		identified, asSum, users := 0, 0, 0
-		for _, idxs := range byUser {
-			var boxes []geo.STBox
-			for _, i := range idxs {
+		var series []sp.Series
+		for _, u := range sortedUsers(byUser) {
+			s := sp.Series{Issuer: u}
+			for _, i := range byUser[u] {
 				if cloaked[i].OK {
-					boxes = append(boxes, cloaked[i].Box)
+					s.Boxes = append(s.Boxes, cloaked[i].Box)
 				}
 			}
-			if len(boxes) == 0 {
-				continue
-			}
-			users++
-			as := anon.HistoricalAnonymitySet(store, boxes)
-			asSum += len(as)
-			if len(as) == 1 {
-				identified++
+			if len(s.Boxes) > 0 {
+				series = append(series, s)
 			}
 		}
-		t.AddRow(a.Name(),
-			100*float64(okCount)/float64(len(reqs)),
-			areas.Mean()/1e6,
-			100*float64(identified)/float64(users),
-			float64(asSum)/float64(users))
+		addSeriesRow(t, a.Name(), 100*float64(okCount)/float64(len(reqs)), areas.Mean()/1e6,
+			sp.Score(store, series))
 	}
 
 	// The historical pipeline on the same city parameters: the series
@@ -353,27 +321,16 @@ func E7() *Table {
 	scfg.Mobility.Days = 14 // two weeks so LBQIDs actually expose
 	scfg.Policy = ts.Policy{K: k}
 	res := Run(scfg)
-	attacker := &sp.Attacker{Knowledge: res.Server.Store()}
-	identified, asSum, users := 0, 0, 0
-	for _, series := range res.ExposedSeries() {
-		rep := attacker.AttackSeries(series)
-		users++
-		asSum += len(rep.Candidates)
-		if rep.Identified {
-			identified++
-		}
-	}
 	area, _ := res.GeneralizedStats()
-	meanAS := 0.0
-	if users > 0 {
-		meanAS = float64(asSum) / float64(users)
-	}
-	t.AddRow("histanon",
-		100.0,
-		area.Mean()/1e6,
-		100*float64(identified)/float64(users),
-		meanAS)
+	addSeriesRow(t, "histanon", 100.0, area.Mean()/1e6, res.AttackExposed())
 	return t
+}
+
+// addSeriesRow adds one E7 row: an anonymizer's per-request QoS and how
+// the attack fared on its series.
+func addSeriesRow(t *Table, name string, cloakedPct, areaKm2 float64, rep sp.Report) {
+	t.AddRow(name, cloakedPct, areaKm2,
+		100*float64(rep.IdentifiedGroups())/float64(len(rep.Groups)), rep.MeanAnonymity())
 }
 
 // E8 measures the Unlinking action of §6.3 directly: after each
@@ -406,53 +363,28 @@ func E8() *Table {
 		cfg.OnDemand = mode.onDemand
 		res := Run(cfg)
 
-		// Forwarded requests per user in time order; consecutive
-		// pseudonyms delimit rotations.
-		byUser := map[phl.UserID][]*ts.Decision{}
-		for i := range res.Decisions {
-			d := &res.Decisions[i]
+		// Forwarded requests per user in time order; a pseudonym change
+		// marks a rotation.
+		var log []sp.Logged
+		for i, d := range res.Decisions {
 			if d.Forwarded && d.Request != nil {
-				byUser[res.Requests[i].User] = append(byUser[res.Requests[i].User], d)
+				log = append(log, sp.Logged{Issuer: res.Requests[i].User, Req: d.Request})
 			}
 		}
+		_, byUser := sp.Split(log, 0)
 		// The haunt profiler sees the whole SP log.
 		haunt := link.NewHaunt(res.Provider.Requests(), 750, 7200, 2)
-		combined := link.Max{tracker, haunt}
+		tracking := link.RotationLikelihoods(byUser, 4, 0, tracker)
+		combined := link.RotationLikelihoods(byUser, 4, 0, link.Max{tracker, haunt})
 
 		likelihoods := &metrics.Summary{}
 		hauntLikelihoods := &metrics.Summary{}
 		unlinked := 0
-		for _, decs := range byUser {
-			for i := 1; i < len(decs); i++ {
-				if decs[i].Request.Pseudonym == decs[i-1].Request.Pseudonym {
-					continue
-				}
-				// Rotation boundary: compare up to 4 requests on each side.
-				lo := i - 4
-				if lo < 0 {
-					lo = 0
-				}
-				hi := i + 4
-				if hi > len(decs) {
-					hi = len(decs)
-				}
-				var b, a []*ts.Decision
-				for _, d := range decs[lo:i] {
-					if d.Request.Pseudonym == decs[i-1].Request.Pseudonym {
-						b = append(b, d)
-					}
-				}
-				for _, d := range decs[i:hi] {
-					if d.Request.Pseudonym == decs[i].Request.Pseudonym {
-						a = append(a, d)
-					}
-				}
-				l := link.MaxPairLikelihood(requestsOf(b), requestsOf(a), tracker)
-				likelihoods.Add(l)
-				hauntLikelihoods.Add(link.MaxPairLikelihood(requestsOf(b), requestsOf(a), combined))
-				if l < 0.5 {
-					unlinked++
-				}
+		for i, l := range tracking {
+			likelihoods.Add(l)
+			hauntLikelihoods.Add(combined[i])
+			if l < 0.5 {
+				unlinked++
 			}
 		}
 		pct := 0.0
@@ -467,12 +399,4 @@ func E8() *Table {
 			hauntLikelihoods.Quantile(0.95))
 	}
 	return t
-}
-
-func requestsOf(decs []*ts.Decision) []*wire.Request {
-	out := make([]*wire.Request, len(decs))
-	for i, d := range decs {
-		out[i] = d.Request
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sort"
+
 	"histanon/internal/generalize"
 	"histanon/internal/lbqid"
 	"histanon/internal/metrics"
@@ -161,6 +163,27 @@ func (r *ScenarioResult) ExposedSeries() map[phl.UserID][]*wire.Request {
 		}
 	}
 	return out
+}
+
+// AttackExposed runs the §5 attack (sp.Score) on every exposed series,
+// in user order, against the server's own store.
+func (r *ScenarioResult) AttackExposed() sp.Report {
+	exposed := r.ExposedSeries()
+	var series []sp.Series
+	for _, u := range sortedUsers(exposed) {
+		series = append(series, sp.Series{Issuer: u, Boxes: sp.Contexts(exposed[u])})
+	}
+	return sp.Score(r.Server.Store(), series)
+}
+
+// sortedUsers returns m's users in increasing order.
+func sortedUsers[V any](m map[phl.UserID]V) []phl.UserID {
+	users := make([]phl.UserID, 0, len(m))
+	for u := range m {
+		users = append(users, u)
+	}
+	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	return users
 }
 
 // FailureRate returns hk_failures / generalized.

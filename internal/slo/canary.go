@@ -1,8 +1,8 @@
 // The re-identification canary: a background probe that periodically
 // replays recently forwarded generalized requests through the paper's
-// LT-consistency attack (Def. 7 intersected per pseudonym series, the
-// same attack the PR 8 comparison harness runs offline) against the
-// live store. The canary is the adversary's view run continuously by
+// LT-consistency attack (Def. 7 intersected per pseudonym series:
+// sp.Score, the attack every experiment runs offline) against the live
+// store. The canary is the adversary's view run continuously by
 // the defender: if generalization weakens — population thins, policies
 // loosen, an index bug ships — the canary's link probability rises
 // before any user is actually identified by a real attacker.
@@ -27,15 +27,14 @@ import (
 	"histanon/internal/geo"
 	"histanon/internal/link"
 	"histanon/internal/phl"
+	"histanon/internal/sp"
 	"histanon/internal/wire"
 )
 
 // AttackStore is the canary's view of the live store: exactly the one
 // read the LT-consistency attack needs, and nothing that can mutate.
 // Both *phl.Store and the tiered storage backend satisfy it.
-type AttackStore interface {
-	LTConsistentUsers(boxes []geo.STBox) []phl.UserID
-}
+type AttackStore = sp.AttackStore
 
 // CanaryOptions configures a canary. Zero fields get defaults.
 type CanaryOptions struct {
@@ -91,8 +90,9 @@ type CanaryResult struct {
 	// correct user: 1/|candidates| per series, 1.0 when re-identified.
 	LinkProbability float64 `json:"link_probability"`
 	// CrossRotationMax is the strongest Tracking-linker likelihood
-	// stitching a user's consecutive pseudonym segments back together
-	// (−1 when the captures span no rotation).
+	// between the last ≤3 captures under a user's old pseudonym and the
+	// first ≤3 under the new one (link.RotationLikelihoods), over every
+	// rotation in the ring (−1 when the captures span no rotation).
 	CrossRotationMax float64 `json:"cross_rotation_max"`
 }
 
@@ -217,114 +217,42 @@ func (c *Canary) Probe() (CanaryResult, bool) {
 	return res, true
 }
 
-// snapshotRing copies the valid ring entries out under the mutex.
+// snapshotRing copies the valid ring entries out under the mutex,
+// oldest first: once the ring has wrapped, the oldest entry is the slot
+// the next capture overwrites.
 func (c *Canary) snapshotRing() []capture {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := c.n
-	if k > len(c.ring) {
-		k = len(c.ring)
+	if c.n <= len(c.ring) {
+		return append([]capture(nil), c.ring[:c.n]...)
 	}
-	out := make([]capture, k)
-	copy(out, c.ring[:k])
-	return out
+	next := c.n % len(c.ring)
+	return append(append([]capture(nil), c.ring[next:]...), c.ring[:next]...)
 }
 
-// attack replays the captures through the LT-consistency attack: group
-// forwarded boxes by pseudonym (the identity the SP actually sees),
-// intersect each series' candidates store-wide, and score how often the
-// intersection is exactly the issuer — the same measure the offline
-// comparison harness reports as ReidPct/MeanAnonSet.
+// attack replays the captures, oldest first, through sp.Score: group
+// the forwarded boxes by pseudonym (the identity the SP actually sees),
+// attack the first MaxSeries series with their first MaxBoxes boxes
+// each, and measure the Tracking linker across each user's rotations.
 func (c *Canary) attack(caps []capture) CanaryResult {
 	res := CanaryResult{Captures: len(caps), CrossRotationMax: -1}
-	type ser struct {
-		user  int64
-		boxes []geo.STBox
+	log := make([]sp.Logged, len(caps))
+	for i, cp := range caps {
+		res.T = max(res.T, cp.t)
+		log[i] = sp.Logged{Issuer: phl.UserID(cp.user),
+			Req: &wire.Request{Pseudonym: wire.Pseudonym(cp.pseu), Context: cp.box}}
 	}
-	series := map[string]*ser{}
-	var order []string
-	for _, cp := range caps {
-		if cp.t > res.T {
-			res.T = cp.t
-		}
-		s := series[cp.pseu]
-		if s == nil {
-			s = &ser{user: cp.user}
-			series[cp.pseu] = s
-			order = append(order, cp.pseu)
-		}
-		if len(s.boxes) < c.maxBoxes {
-			s.boxes = append(s.boxes, cp.box)
-		}
+	series, byUser := sp.Split(log, c.maxBoxes)
+	res.Series = len(series)
+	rep := sp.Score(c.store, series[:min(len(series), c.maxSeries)])
+	res.Attacked = len(rep.Groups)
+	res.Identified = rep.IdentifiedGroups()
+	res.AnonSetMean = rep.MeanAnonymity()
+	res.LinkProbability = rep.LinkProbability()
+	for _, l := range link.RotationLikelihoods(byUser, 3, 0, link.Tracking{}) {
+		res.CrossRotationMax = max(res.CrossRotationMax, l)
 	}
-	res.Series = len(order)
-	var anonSum, probSum float64
-	for _, pseu := range order {
-		if res.Attacked >= c.maxSeries {
-			break
-		}
-		s := series[pseu]
-		cands := c.store.LTConsistentUsers(s.boxes)
-		res.Attacked++
-		anonSum += float64(len(cands))
-		if len(cands) == 1 && int64(cands[0]) == s.user {
-			res.Identified++
-			probSum += 1
-		} else if len(cands) > 0 {
-			probSum += 1 / float64(len(cands))
-		}
-	}
-	if res.Attacked > 0 {
-		res.AnonSetMean = anonSum / float64(res.Attacked)
-		res.LinkProbability = probSum / float64(res.Attacked)
-	}
-	res.CrossRotationMax = c.crossRotation(caps)
 	return res
-}
-
-// crossRotation measures how strongly the Tracking linker stitches a
-// user's consecutive pseudonym segments back together across rotations
-// — the attack pseudonym changes alone do not stop. Returns the maximum
-// likelihood over all rotation boundaries in the captures, or −1 when
-// no user rotated inside the ring.
-func (c *Canary) crossRotation(caps []capture) float64 {
-	perUser := map[int64][]capture{}
-	var users []int64
-	for _, cp := range caps {
-		if _, seen := perUser[cp.user]; !seen {
-			users = append(users, cp.user)
-		}
-		perUser[cp.user] = append(perUser[cp.user], cp)
-	}
-	tracker := link.Tracking{}
-	toWire := func(cs []capture) []*wire.Request {
-		out := make([]*wire.Request, len(cs))
-		for i, cp := range cs {
-			out[i] = &wire.Request{Context: cp.box}
-		}
-		return out
-	}
-	best := -1.0
-	for _, u := range users {
-		cs := perUser[u]
-		for j := 1; j < len(cs); j++ {
-			if cs[j].pseu == cs[j-1].pseu {
-				continue
-			}
-			lo := j - 3
-			if lo < 0 {
-				lo = 0
-			}
-			hi := j + 3
-			if hi > len(cs) {
-				hi = len(cs)
-			}
-			if l := link.MaxPairLikelihood(toWire(cs[lo:j]), toWire(cs[j:hi]), tracker); l > best {
-				best = l
-			}
-		}
-	}
-	return best
 }
 
 // Run probes on a ticker until stop is closed — the background loop

@@ -346,3 +346,40 @@ func TestCanaryRunLoop(t *testing.T) {
 		t.Fatal("Run never probed")
 	}
 }
+
+// TestCanaryAttacksRingInTimeOrder: once the ring wraps, the probe must
+// still see each user's captures oldest first. User 7 sends three
+// captures under p1, then three under p2 on one box 100 km away, into a
+// 4-slot ring. In time order the ring holds one rotation, p1 → p2,
+// which the Tracking linker cannot bridge (100 km in no time): 0. Read
+// in slot order it would hold p2, p2, p1, p2, two rotations that never
+// happened, and pair p2 with p2 at likelihood 1.
+func TestCanaryAttacksRingInTimeOrder(t *testing.T) {
+	store := &fakeStore{fn: func([]geo.STBox) []phl.UserID { return []phl.UserID{7, 8} }}
+	c, _ := newTestCanary(CanaryOptions{Store: store, Interval: time.Second, RingSize: 4})
+	for i := int64(0); i < 6; i++ {
+		d := cap4(100+i*10, 7, "p1")
+		d.Box = box(0, 100+i*10)
+		if i >= 3 {
+			d.Pseudonym = "p2"
+			d.Box = box(1e5, 130)
+		}
+		c.capture(d)
+	}
+	caps := c.snapshotRing()
+	for i := 1; i < len(caps); i++ {
+		if caps[i].t < caps[i-1].t {
+			t.Fatalf("snapshot not in time order: capture %d at t=%d after t=%d", i, caps[i].t, caps[i-1].t)
+		}
+	}
+	res, ok := c.Probe()
+	if !ok {
+		t.Fatal("probe skipped")
+	}
+	if res.Captures != 4 || res.Series != 2 || res.T != 150 {
+		t.Fatalf("result = %+v", res)
+	}
+	if res.CrossRotationMax != 0 {
+		t.Fatalf("CrossRotationMax = %g, want 0 across the one real rotation", res.CrossRotationMax)
+	}
+}

@@ -85,6 +85,9 @@ type Attacker struct {
 
 // GroupReport is the attack outcome for one linked request group.
 type GroupReport struct {
+	// Issuer is the group's true user, known when Score attacks a
+	// Series; Attack and AttackSeries cannot know it and leave it zero.
+	Issuer phl.UserID
 	// Pseudonyms seen in the group (more than one when tracking linked
 	// across a pseudonym change).
 	Pseudonyms []wire.Pseudonym
@@ -93,7 +96,8 @@ type GroupReport struct {
 	// Candidates are the users whose histories are LT-consistent with
 	// every request context in the group — the attacker's anonymity set.
 	Candidates []phl.UserID
-	// Identified is true when exactly one candidate remains.
+	// Identified is true when the candidate set is exactly the issuer
+	// (Score), or holds one user (Attack and AttackSeries).
 	Identified bool
 }
 
@@ -140,10 +144,94 @@ func (r Report) MeanAnonymity() float64 {
 	return float64(sum) / float64(len(r.Groups))
 }
 
+// LinkProbability returns the mean over groups of 1/|candidates|, the
+// probability the attacker puts on each candidate when it guesses
+// uniformly (a group with no candidates adds 0). It is at most 1/k
+// when every group's anonymity set holds k users.
+func (r Report) LinkProbability() float64 {
+	if len(r.Groups) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, g := range r.Groups {
+		if n := len(g.Candidates); n > 0 {
+			sum += 1 / float64(n)
+		}
+	}
+	return sum / float64(len(r.Groups))
+}
+
+// AttackStore is the one read of the attacker's knowledge that Score
+// needs: the users LT-consistent with every box (Def. 7), and nothing
+// that can write. phl.Store and storage.TieredStore satisfy it.
+type AttackStore interface {
+	LTConsistentUsers(boxes []geo.STBox) []phl.UserID
+}
+
+// Series is one linked request series as the SP saw it, with the
+// ground-truth issuer the attack is scored against.
+type Series struct {
+	Issuer phl.UserID
+	Boxes  []geo.STBox
+}
+
+// Logged is one forwarded request as a recording SP logged it, with
+// the ground-truth issuer the attack is scored against.
+type Logged struct {
+	Issuer phl.UserID
+	Req    *wire.Request
+}
+
+// Split turns a time-ordered log into the two inputs of the §5 attack:
+// the pseudonym series Score attacks, in order of first appearance and
+// each with its first maxBoxes boxes, and each issuer's requests in
+// time order, which link.RotationLikelihoods reads.
+func Split(log []Logged, maxBoxes int) (series []Series, byIssuer [][]*wire.Request) {
+	seriesAt := map[wire.Pseudonym]int{}
+	issuerAt := map[phl.UserID]int{}
+	for _, l := range log {
+		s, ok := seriesAt[l.Req.Pseudonym]
+		if !ok {
+			s = len(series)
+			seriesAt[l.Req.Pseudonym] = s
+			series = append(series, Series{Issuer: l.Issuer})
+		}
+		if len(series[s].Boxes) < maxBoxes {
+			series[s].Boxes = append(series[s].Boxes, l.Req.Context)
+		}
+		u, ok := issuerAt[l.Issuer]
+		if !ok {
+			u = len(byIssuer)
+			issuerAt[l.Issuer] = u
+			byIssuer = append(byIssuer, nil)
+		}
+		byIssuer[u] = append(byIssuer[u], l.Req)
+	}
+	return series, byIssuer
+}
+
+// Score runs the §5 attack on each series in order: it intersects the
+// users LT-consistent with every box of the series (Defs. 7–8), and a
+// series is identified when that set is exactly its issuer. Callers
+// cap the number of series and of boxes per series.
+func Score(kn AttackStore, series []Series) Report {
+	rep := Report{Groups: make([]GroupReport, len(series))}
+	for i, s := range series {
+		cands := kn.LTConsistentUsers(s.Boxes)
+		rep.Groups[i] = GroupReport{
+			Issuer:     s.Issuer,
+			Requests:   len(s.Boxes),
+			Candidates: cands,
+			Identified: len(cands) == 1 && cands[0] == s.Issuer,
+		}
+	}
+	return rep
+}
+
 // CandidateUsers returns the users LT-consistent with every request in
 // the set — the attacker's anonymity set for that linked series.
 func (a *Attacker) CandidateUsers(reqs []*wire.Request) []phl.UserID {
-	boxes := contexts(reqs)
+	boxes := Contexts(reqs)
 	return anon.HistoricalAnonymitySet(a.Knowledge, boxes)
 }
 
@@ -171,13 +259,7 @@ func (a *Attacker) Attack(p *Provider) Report {
 
 	var rep Report
 	for _, g := range groups {
-		cands := a.CandidateUsers(g)
-		rep.Groups = append(rep.Groups, GroupReport{
-			Pseudonyms: pseudonymsOf(g),
-			Requests:   len(g),
-			Candidates: cands,
-			Identified: len(cands) == 1,
-		})
+		rep.Groups = append(rep.Groups, a.AttackSeries(g))
 	}
 	return rep
 }
@@ -194,7 +276,9 @@ func (a *Attacker) AttackSeries(reqs []*wire.Request) GroupReport {
 	}
 }
 
-func contexts(reqs []*wire.Request) []geo.STBox {
+// Contexts returns the requests' context boxes, in order: the series
+// as the LT-consistency attack reads it.
+func Contexts(reqs []*wire.Request) []geo.STBox {
 	boxes := make([]geo.STBox, 0, len(reqs))
 	for _, r := range reqs {
 		boxes = append(boxes, r.Context)

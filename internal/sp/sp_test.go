@@ -276,3 +276,85 @@ func TestWeightedAttackMultiBoxSeries(t *testing.T) {
 		t.Fatalf("series evidence must accumulate: %g", rep.TopConfidence)
 	}
 }
+
+// scriptedStore answers LTConsistentUsers with the candidates scripted
+// for the series whose first box starts at that instant.
+type scriptedStore map[int64][]phl.UserID
+
+func (s scriptedStore) LTConsistentUsers(boxes []geo.STBox) []phl.UserID {
+	return s[boxes[0].Time.Start]
+}
+
+func series(issuer phl.UserID, start int64) Series {
+	return Series{Issuer: issuer, Boxes: []geo.STBox{box(0, 0, 1, 1, start, start+1)}}
+}
+
+func TestScoreSingleCandidateMustBeTheIssuer(t *testing.T) {
+	rep := Score(scriptedStore{10: {2}, 20: {1}}, []Series{series(1, 10), series(1, 20)})
+	if rep.Groups[0].Identified {
+		t.Fatalf("a lone candidate other than the issuer identified the series: %+v", rep.Groups[0])
+	}
+	if !rep.Groups[1].Identified || rep.Groups[1].Issuer != 1 {
+		t.Fatalf("the issuer alone must identify the series: %+v", rep.Groups[1])
+	}
+	if rep.IdentifiedGroups() != 1 {
+		t.Fatalf("identified = %d, want 1", rep.IdentifiedGroups())
+	}
+}
+
+func TestScoreAggregates(t *testing.T) {
+	kn := scriptedStore{10: {1}, 20: {2, 3, 4, 5}, 30: {3, 4}, 40: nil}
+	rep := Score(kn, []Series{series(1, 10), series(2, 20), series(3, 30), series(4, 40)})
+	if len(rep.Groups) != 4 || rep.Groups[1].Requests != 1 {
+		t.Fatalf("report: %+v", rep)
+	}
+	if got := rep.MinAnonymity(); got != 0 {
+		t.Fatalf("min anonymity = %d, want 0 (the empty set)", got)
+	}
+	if got, want := rep.MeanAnonymity(), (1.0+4+2+0)/4; got != want {
+		t.Fatalf("mean anonymity = %g, want %g", got, want)
+	}
+	if got, want := rep.LinkProbability(), (1+0.25+0.5+0)/4; got != want {
+		t.Fatalf("link probability = %g, want %g", got, want)
+	}
+	rep = Score(kn, []Series{series(2, 20), series(3, 30)})
+	if got := rep.MinAnonymity(); got != 2 {
+		t.Fatalf("min anonymity = %d, want 2", got)
+	}
+}
+
+func TestScoreEmpty(t *testing.T) {
+	rep := Score(scriptedStore{}, nil)
+	if len(rep.Groups) != 0 || rep.IdentifiedGroups() != 0 || rep.MinAnonymity() != 0 ||
+		rep.MeanAnonymity() != 0 || rep.LinkProbability() != 0 {
+		t.Fatalf("empty report: %+v", rep)
+	}
+}
+
+func TestSplit(t *testing.T) {
+	log := []Logged{
+		{1, reqAt(1, "a", box(0, 0, 1, 1, 0, 1))},
+		{2, reqAt(2, "b", box(0, 0, 1, 1, 1, 2))},
+		{1, reqAt(3, "a", box(0, 0, 1, 1, 2, 3))},
+		{1, reqAt(4, "c", box(0, 0, 1, 1, 3, 4))},
+		{1, reqAt(5, "a", box(0, 0, 1, 1, 4, 5))},
+	}
+	series, byIssuer := Split(log, 2)
+	if len(series) != 3 || series[0].Issuer != 1 || series[1].Issuer != 2 || series[2].Issuer != 1 {
+		t.Fatalf("series %+v, want a (u1), b (u2), c (u1) in order of first appearance", series)
+	}
+	if b := series[0].Boxes; len(b) != 2 || b[0].Time.Start != 0 || b[1].Time.Start != 2 {
+		t.Fatalf("series a boxes %v, want its first two", b)
+	}
+	var ids [][]wire.MsgID
+	for _, reqs := range byIssuer {
+		var row []wire.MsgID
+		for _, r := range reqs {
+			row = append(row, r.ID)
+		}
+		ids = append(ids, row)
+	}
+	if len(ids) != 2 || len(ids[0]) != 4 || ids[0][3] != 5 || len(ids[1]) != 1 || ids[1][0] != 2 {
+		t.Fatalf("requests by issuer %v, want [[1 3 4 5] [2]]", ids)
+	}
+}

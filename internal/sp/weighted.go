@@ -38,7 +38,7 @@ type WeightedReport struct {
 // (Laplace-smoothed), i.e. a naive-Bayes issuer model with the true
 // location database as likelihood source.
 func (a *Attacker) WeightedAttack(reqs []*wire.Request) WeightedReport {
-	boxes := contexts(reqs)
+	boxes := Contexts(reqs)
 	cands := a.CandidateUsers(reqs)
 	if len(cands) == 0 {
 		return WeightedReport{}

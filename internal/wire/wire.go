@@ -78,6 +78,22 @@ func ValidateData(m map[string]string) error {
 	return nil
 }
 
+// MaxAbsTime bounds the timestamps the server accepts from devices:
+// |T| < 2^53 s. Inside it every timestamp is exact in float64 and the
+// difference of any two fits int64, so geo.STMetric's time terms cannot
+// wrap.
+const MaxAbsTime = 1 << 53
+
+// ValidateTime reports whether t lies inside ±MaxAbsTime. Both ingest
+// channels refuse a location or service call outside it; the binary
+// codec itself still carries any int64.
+func ValidateTime(t int64) error {
+	if t <= -MaxAbsTime || t >= MaxAbsTime {
+		return fmt.Errorf("wire: timestamp %d outside ±2^53", t)
+	}
+	return nil
+}
+
 // Response is a service provider's answer to a request, routed back to
 // the user's device by the trusted server via the msgid (the SP never
 // learns a network address).

@@ -54,3 +54,22 @@ func TestStringFormats(t *testing.T) {
 		t.Errorf("Response.String() = %q", got)
 	}
 }
+
+func TestValidateTime(t *testing.T) {
+	for _, tt := range []struct {
+		t  int64
+		ok bool
+	}{
+		{0, true},
+		{MaxAbsTime - 1, true},
+		{-MaxAbsTime + 1, true},
+		{MaxAbsTime, false},
+		{-MaxAbsTime, false},
+		{math.MaxInt64, false},
+		{math.MinInt64, false},
+	} {
+		if err := ValidateTime(tt.t); (err == nil) != tt.ok {
+			t.Errorf("ValidateTime(%d) = %v, want ok=%v", tt.t, err, tt.ok)
+		}
+	}
+}
