@@ -226,8 +226,8 @@ func BenchmarkE5_UnlinkPath(b *testing.B) {
 	}
 }
 
-// BenchmarkE6_AttackSeries measures the adversary's LT-consistency
-// intersection over a growing series.
+// BenchmarkE6_AttackSeries measures E6's attack, sp.Score, on one
+// series of a growing number of boxes.
 func BenchmarkE6_AttackSeries(b *testing.B) {
 	store := phl.NewStore()
 	rng := rand.New(rand.NewSource(3))
@@ -239,24 +239,20 @@ func BenchmarkE6_AttackSeries(b *testing.B) {
 			})
 		}
 	}
-	attacker := &sp.Attacker{Knowledge: store}
-	for _, series := range []int{4, 16, 64} {
-		reqs := make([]*wire.Request, series)
-		for i := range reqs {
+	for _, n := range []int{4, 16, 64} {
+		series := []sp.Series{{Boxes: make([]geo.STBox, n)}}
+		for i := range series[0].Boxes {
 			c := geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000}
 			ct := int64(rng.Intn(14 * 24 * 3600))
-			reqs[i] = &wire.Request{
-				Pseudonym: "p",
-				Context: geo.STBox{
-					Area: geo.Rect{MinX: c.X - 1000, MinY: c.Y - 1000, MaxX: c.X + 1000, MaxY: c.Y + 1000},
-					Time: geo.Interval{Start: ct - 1800, End: ct + 1800},
-				},
+			series[0].Boxes[i] = geo.STBox{
+				Area: geo.Rect{MinX: c.X - 1000, MinY: c.Y - 1000, MaxX: c.X + 1000, MaxY: c.Y + 1000},
+				Time: geo.Interval{Start: ct - 1800, End: ct + 1800},
 			}
 		}
-		b.Run(fmt.Sprintf("series=%d", series), func(b *testing.B) {
+		b.Run(fmt.Sprintf("series=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				attacker.AttackSeries(reqs)
+				sp.Score(store, series)
 			}
 		})
 	}
@@ -296,39 +292,26 @@ func BenchmarkE7_Baselines(b *testing.B) {
 	}
 }
 
-// BenchmarkE8_TrackingLikelihood measures the tracking linker and the
-// link-connected component computation.
+// BenchmarkE8_TrackingLikelihood measures one tracking-linker
+// likelihood.
 func BenchmarkE8_TrackingLikelihood(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	mk := func(n int) []*wire.Request {
-		out := make([]*wire.Request, n)
-		for i := range out {
-			out[i] = &wire.Request{
-				Pseudonym: wire.Pseudonym(fmt.Sprintf("p%d", i%10)),
-				Context: geo.STBox{
-					Area: geo.RectAround(geo.Point{X: rng.Float64() * 5000, Y: rng.Float64() * 5000}),
-					Time: geo.IntervalAround(int64(rng.Intn(86400))),
-				},
-			}
+	reqs := make([]*wire.Request, 2)
+	for i := range reqs {
+		reqs[i] = &wire.Request{
+			Pseudonym: wire.Pseudonym(fmt.Sprintf("p%d", i)),
+			Context: geo.STBox{
+				Area: geo.RectAround(geo.Point{X: rng.Float64() * 5000, Y: rng.Float64() * 5000}),
+				Time: geo.IntervalAround(int64(rng.Intn(86400))),
+			},
 		}
-		return out
 	}
 	tr := link.Tracking{MaxSpeed: 17, HalfLife: 900}
-	b.Run("likelihood", func(b *testing.B) {
-		reqs := mk(2)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr.Likelihood(reqs[0], reqs[1])
-		}
-	})
-	b.Run("components-200", func(b *testing.B) {
-		reqs := mk(200)
-		f := link.Max{link.Pseudonym{}, tr}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			link.Components(reqs, f, 0.6)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Likelihood(reqs[0], reqs[1])
+	}
 }
 
 // BenchmarkE9_MatcherOffer measures the continuous LBQID monitoring

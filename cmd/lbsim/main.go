@@ -14,9 +14,7 @@ import (
 	"os"
 
 	"histanon/internal/generalize"
-	"histanon/internal/link"
 	"histanon/internal/sim"
-	"histanon/internal/sp"
 	"histanon/internal/ts"
 )
 
@@ -30,7 +28,6 @@ func main() {
 		window    = flag.Int64("window", 0, "service tolerance: max cloak window in seconds (0 = unlimited)")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		track     = flag.Bool("lbqids", true, "attach commute LBQIDs to commuters")
-		attack    = flag.Bool("attack", true, "run the re-identification attack afterwards")
 	)
 	flag.Parse()
 
@@ -66,18 +63,6 @@ func main() {
 		fmt.Printf("generalization failure rate: %.2f%%\n", 100*fr)
 	}
 	fmt.Printf("unlinkings per user-day: %.4f\n", res.UnlinkingsPerUserDay())
-
-	if !*attack {
-		return
-	}
-	attacker := &sp.Attacker{
-		Knowledge: res.Server.Store(),
-		Linker:    link.Max{link.Pseudonym{}, link.Tracking{}},
-		Theta:     0.6,
-	}
-	rep := attacker.Attack(res.Provider)
-	fmt.Printf("attack (pseudonym+tracking, theta=0.6): %d linked groups, %d identified, mean |AS|=%.1f\n",
-		len(rep.Groups), rep.IdentifiedGroups(), rep.MeanAnonymity())
 
 	if exposed := res.AttackExposed(); len(exposed.Groups) > 0 {
 		minAS, ident := exposed.MinAnonymity(), exposed.IdentifiedGroups()

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"histanon/internal/anon"
-	"histanon/internal/geo"
 	"histanon/internal/sim"
 	"histanon/internal/ts"
 )
@@ -30,26 +29,22 @@ func main() {
 	fmt.Printf("events: %d, service requests: %d\n", len(res.World.Events), len(res.Requests))
 	fmt.Printf("TS counters: %s\n", res.Server.Counters)
 
-	// Pick one commuter whose quasi-identifier was fully matched.
+	// Report the first commuter, in user order, whose quasi-identifier
+	// was fully matched.
 	series := res.ExposedSeries()
 	fmt.Printf("\n%d users completed their LBQID (2 weeks x 3 weekdays of commuting)\n", len(series))
 
-	for u, reqs := range series {
-		boxes := make([]geo.STBox, len(reqs))
-		for i, r := range reqs {
-			boxes[i] = r.Context
-		}
-		level := anon.HistoricalLevel(res.Server.Store(), u, boxes)
-		fmt.Printf("\nuser %v: %d generalized requests under pseudonym %s\n",
-			u, len(reqs), reqs[0].Pseudonym)
-		fmt.Printf("  first forwarded context: %s\n", reqs[0].Context)
+	if len(series) > 0 {
+		s := series[0]
+		level := anon.HistoricalLevel(res.Server.Store(), s.Issuer, s.Boxes)
+		fmt.Printf("\nuser %v: %d generalized requests under one pseudonym\n", s.Issuer, len(s.Boxes))
+		fmt.Printf("  first forwarded context: %s\n", s.Boxes[0])
 		fmt.Printf("  historical anonymity level of the whole series: %d (policy k=%d)\n",
 			level, cfg.Policy.K)
 		if level >= cfg.Policy.K {
 			fmt.Println("  ✓ even knowing everyone's true movements, the service provider")
 			fmt.Printf("    cannot narrow this commute pattern below %d candidates\n", level)
 		}
-		break // one user suffices for the demo
 	}
 
 	area, interval := res.GeneralizedStats()

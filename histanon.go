@@ -93,10 +93,6 @@ type (
 type (
 	// Provider is a recording service provider.
 	Provider = sp.Provider
-	// Attacker re-identifies users from a provider's log.
-	Attacker = sp.Attacker
-	// AttackReport aggregates an attack.
-	AttackReport = sp.Report
 	// ServiceLogic computes an SP-side answer from a generalized request.
 	ServiceLogic = sp.Logic
 	// ServiceLogicFunc adapts a function to ServiceLogic.

@@ -1,35 +1,15 @@
-// Package anon implements the anonymity notions of the paper's §5: the
-// anonymity set of a single generalized request and Historical
-// k-anonymity over a linked set of requests (Def. 8).
+// Package anon decides Historical k-anonymity (the paper's Def. 8) for a
+// request series: HistoricalLevel counts the users LT-consistent with
+// the series, the issuer included once, and SatisfiesHistoricalK asks
+// whether k−1 of them are other users. The sets themselves are the
+// store's queries: phl.Storer's UsersIn for one context, and its
+// LTConsistentUsers (Def. 7) for a series.
 package anon
 
 import (
 	"histanon/internal/geo"
 	"histanon/internal/phl"
 )
-
-// AnonymitySet returns the users who could have issued a request with
-// the given generalized context: those with a location sample inside the
-// box. This is the single-request notion of location k-anonymity used by
-// Gruteser–Grunwald (paper ref. [11]) — the set of *potential* senders,
-// the paper's deliberately weaker requirement compared to ref. [9].
-func AnonymitySet(store phl.Storer, box geo.STBox) []phl.UserID {
-	return store.UsersIn(box)
-}
-
-// IsKAnonymous reports whether a single generalized context covers at
-// least k potential senders.
-func IsKAnonymous(store phl.Storer, box geo.STBox, k int) bool {
-	return store.CountUsersIn(box) >= k
-}
-
-// HistoricalAnonymitySet returns the users whose Personal History of
-// Locations is LT-consistent with every one of the generalized contexts
-// (paper Def. 7): every user in the set could have issued the whole
-// linked request series.
-func HistoricalAnonymitySet(store phl.Storer, boxes []geo.STBox) []phl.UserID {
-	return store.LTConsistentUsers(boxes)
-}
 
 // HistoricalLevel returns the achieved historical anonymity level of a
 // request series issued by issuer: 1 (the issuer alone) plus the number
@@ -65,24 +45,4 @@ func SatisfiesHistoricalK(store phl.Storer, issuer phl.UserID, boxes []geo.STBox
 		}
 	}
 	return false
-}
-
-// Witnesses returns up to k−1 users, other than the issuer, whose
-// histories are LT-consistent with the series — the explicit witnesses
-// of Def. 8. ok is false when fewer than k−1 exist.
-func Witnesses(store phl.Storer, issuer phl.UserID, boxes []geo.STBox, k int) ([]phl.UserID, bool) {
-	if k <= 1 {
-		return nil, true
-	}
-	var out []phl.UserID
-	for _, u := range store.LTConsistentUsers(boxes) {
-		if u == issuer {
-			continue
-		}
-		out = append(out, u)
-		if len(out) == k-1 {
-			return out, true
-		}
-	}
-	return out, k <= 1
 }

@@ -37,26 +37,6 @@ var (
 	officeBox = box(490, 490, 510, 510, 190, 210)
 )
 
-func TestAnonymitySet(t *testing.T) {
-	s := commuteStore()
-	set := AnonymitySet(s, homeBox)
-	if len(set) != 3 {
-		t.Fatalf("home anonymity set = %v", set)
-	}
-	if !IsKAnonymous(s, homeBox, 3) || IsKAnonymous(s, homeBox, 4) {
-		t.Fatal("home box must be exactly 3-anonymous")
-	}
-}
-
-func TestHistoricalAnonymitySet(t *testing.T) {
-	s := commuteStore()
-	series := []geo.STBox{homeBox, officeBox}
-	set := HistoricalAnonymitySet(s, series)
-	if len(set) != 2 || set[0] != 1 || set[1] != 2 {
-		t.Fatalf("historical set = %v", set)
-	}
-}
-
 func TestHistoricalLevel(t *testing.T) {
 	s := commuteStore()
 	series := []geo.STBox{homeBox, officeBox}
@@ -100,20 +80,5 @@ func TestLongerSeriesShrinksAnonymity(t *testing.T) {
 	lvl2 := HistoricalLevel(s, 1, []geo.STBox{homeBox, officeBox})
 	if lvl2 > lvl1 {
 		t.Fatalf("anonymity grew with trace length: %d -> %d", lvl1, lvl2)
-	}
-}
-
-func TestWitnesses(t *testing.T) {
-	s := commuteStore()
-	series := []geo.STBox{homeBox, officeBox}
-	w, ok := Witnesses(s, 1, series, 2)
-	if !ok || len(w) != 1 || w[0] != 2 {
-		t.Fatalf("witnesses = %v ok=%v", w, ok)
-	}
-	if _, ok := Witnesses(s, 1, series, 3); ok {
-		t.Fatal("expected not enough witnesses for k=3")
-	}
-	if w, ok := Witnesses(s, 1, series, 1); !ok || len(w) != 0 {
-		t.Fatalf("k=1 needs no witnesses: %v %v", w, ok)
 	}
 }

@@ -267,7 +267,7 @@ func CheckKMonotone(p *Population, q geo.STPoint, issuer phl.UserID, maxK int) e
 		if failed {
 			return fmt.Errorf("k=%d succeeded after a smaller k failed", k)
 		}
-		count := len(anon.AnonymitySet(p.Store, res.Box))
+		count := p.Store.CountUsersIn(res.Box)
 		if count < prevCount {
 			return fmt.Errorf("anonymity set shrank from %d to %d when k grew to %d", prevCount, count, k)
 		}

@@ -10,8 +10,8 @@ import (
 
 // The linkability framework of Def. 4/5: the tracking linker joins
 // requests whose contexts form a physically plausible trajectory, even
-// across pseudonyms; link-connected components are the attacker's view
-// of "probably the same person".
+// across pseudonyms; a link-connected set is the attacker's view of
+// "probably the same person".
 func Example() {
 	at := func(id int64, ps string, x float64, t int64) *wire.Request {
 		return &wire.Request{
@@ -32,15 +32,11 @@ func Example() {
 		at(4, "other", 50000, 100),
 	}
 	f := link.Max{link.Pseudonym{}, link.Tracking{MaxSpeed: 2, HalfLife: 3600}}
-	comps := link.Components(reqs, f, 0.7)
-	fmt.Println("components:", len(comps))
-	for _, c := range comps {
-		fmt.Println("  size:", len(c))
-	}
+	fmt.Println("walker link-connected:", link.IsLinkConnected(reqs[:3], f, 0.7))
+	fmt.Println("with the far request:", link.IsLinkConnected(reqs, f, 0.7))
 	fmt.Printf("cross-pseudonym link: %.2f\n", f.Likelihood(reqs[1], reqs[2]))
 	// Output:
-	// components: 2
-	//   size: 3
-	//   size: 1
+	// walker link-connected: true
+	// with the far request: false
 	// cross-pseudonym link: 0.99
 }

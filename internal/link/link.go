@@ -140,36 +140,6 @@ func rectGap(a, b geo.Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// Components partitions the requests into link-connected components at
-// threshold theta: the maximal subsets that are link-connected with
-// likelihood theta in the sense of Def. 5. Pair evaluation is quadratic;
-// callers working on long streams should window the input by time.
-func Components(reqs []*wire.Request, f Func, theta float64) [][]*wire.Request {
-	n := len(reqs)
-	uf := newUnionFind(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if f.Likelihood(reqs[i], reqs[j]) >= theta {
-				uf.union(i, j)
-			}
-		}
-	}
-	groups := map[int][]*wire.Request{}
-	var roots []int
-	for i, r := range reqs {
-		root := uf.find(i)
-		if _, ok := groups[root]; !ok {
-			roots = append(roots, root)
-		}
-		groups[root] = append(groups[root], r)
-	}
-	out := make([][]*wire.Request, 0, len(roots))
-	for _, root := range roots {
-		out = append(out, groups[root])
-	}
-	return out
-}
-
 // IsLinkConnected reports whether the request set R' is link-connected
 // with likelihood theta (paper Def. 5): every pair must be joined by a
 // chain inside R' whose consecutive links all have likelihood >= theta.

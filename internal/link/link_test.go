@@ -1,7 +1,6 @@
 package link
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -130,30 +129,6 @@ func TestMaxCombinator(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	// Chain a-b-c linked pairwise plus isolated d.
-	a := req(1, "p1", 0, 0, 0)
-	b := req(2, "p2", 50, 0, 10)
-	c := req(3, "p3", 100, 0, 20)
-	d := req(4, "p4", 9999, 9999, 25)
-	f := Tracking{MaxSpeed: 10, HalfLife: 1e9}
-	comps := Components([]*wire.Request{a, b, c, d}, f, 0.9)
-	if len(comps) != 2 {
-		t.Fatalf("got %d components", len(comps))
-	}
-	var big, small []*wire.Request
-	for _, comp := range comps {
-		if len(comp) == 3 {
-			big = comp
-		} else {
-			small = comp
-		}
-	}
-	if len(big) != 3 || len(small) != 1 || small[0] != d {
-		t.Fatalf("components wrong: %v / %v", big, small)
-	}
-}
-
 func TestIsLinkConnected(t *testing.T) {
 	a := req(1, "p1", 0, 0, 0)
 	b := req(2, "p2", 50, 0, 10)
@@ -201,33 +176,6 @@ func TestMaxPairLikelihood(t *testing.T) {
 	}
 	if got := MaxPairLikelihood(nil, afterNear, f); got != 0 {
 		t.Fatalf("empty set: %g", got)
-	}
-}
-
-func TestComponentsRandomizedPartition(t *testing.T) {
-	// Components must form a partition: every request in exactly one
-	// component.
-	rng := rand.New(rand.NewSource(4))
-	var reqs []*wire.Request
-	for i := 0; i < 120; i++ {
-		reqs = append(reqs, req(int64(i), "p", rng.Float64()*1000, rng.Float64()*1000, int64(rng.Intn(600))))
-	}
-	comps := Components(reqs, Tracking{MaxSpeed: 8, HalfLife: 600}, 0.5)
-	seen := map[wire.MsgID]int{}
-	total := 0
-	for _, comp := range comps {
-		for _, r := range comp {
-			seen[r.ID]++
-			total++
-		}
-	}
-	if total != len(reqs) {
-		t.Fatalf("partition covers %d of %d", total, len(reqs))
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("request %d appears %d times", id, n)
-		}
 	}
 }
 

@@ -2,10 +2,8 @@
 // experiment harness and the trusted server use to report
 // quality-of-service and privacy numbers:
 //
-//   - Summary — streaming order statistics (mean, quantiles, extrema)
-//     over an in-memory sample set that keeps every sample, with an
-//     incrementally maintained sorted view so interleaved Add/Quantile
-//     traffic stays cheap.
+//   - Summary — order statistics (mean, quantiles, extrema) over an
+//     in-memory sample set that keeps every sample.
 //   - CounterVec — labeled counter families in the Prometheus data
 //     model (countervec.go).
 //   - Histogram — fixed-bucket, wait-free histograms with merge and
@@ -28,19 +26,12 @@ import (
 )
 
 // Summary accumulates float64 samples and answers order statistics.
-// It is safe for concurrent use.
-//
-// Quantile queries are served from a cached sorted view that is
-// invalidated by Add and rebuilt incrementally: only the samples added
-// since the last query are sorted and merged into the cache, so an
-// interleaved Add/Quantile workload costs O(new·log new + n) per query
-// instead of re-sorting all n samples every time (see
-// BenchmarkSummaryInterleaved).
+// It is safe for concurrent use. Callers fill it before they read it,
+// so Quantile sorts the samples in place on its first call after an Add.
 type Summary struct {
 	mu      sync.Mutex
-	samples []float64 // in arrival order; samples[:ns] are merged into sorted
-	sorted  []float64 // cached ascending view of samples[:ns]
-	ns      int       // how many samples the cache covers
+	samples []float64
+	sorted  bool // samples are in ascending order
 	sum     float64
 }
 
@@ -49,6 +40,7 @@ func (s *Summary) Add(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.samples = append(s.samples, v)
+	s.sorted = false
 	s.sum += v
 }
 
@@ -78,7 +70,10 @@ func (s *Summary) Quantile(q float64) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	s.refreshSorted()
+	if !s.sorted {
+		sort.Float64s(s.samples)
+		s.sorted = true
+	}
 	idx := int(math.Ceil(q*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -86,37 +81,7 @@ func (s *Summary) Quantile(q float64) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return s.sorted[idx]
-}
-
-// refreshSorted folds samples added since the last query into the
-// sorted cache: sort just the new tail, then merge the two runs.
-// Callers hold s.mu.
-func (s *Summary) refreshSorted() {
-	if s.ns == len(s.samples) {
-		return
-	}
-	tail := append([]float64(nil), s.samples[s.ns:]...)
-	sort.Float64s(tail)
-	if len(s.sorted) == 0 {
-		s.sorted = tail
-	} else {
-		merged := make([]float64, 0, len(s.sorted)+len(tail))
-		i, j := 0, 0
-		for i < len(s.sorted) && j < len(tail) {
-			if s.sorted[i] <= tail[j] {
-				merged = append(merged, s.sorted[i])
-				i++
-			} else {
-				merged = append(merged, tail[j])
-				j++
-			}
-		}
-		merged = append(merged, s.sorted[i:]...)
-		merged = append(merged, tail[j:]...)
-		s.sorted = merged
-	}
-	s.ns = len(s.samples)
+	return s.samples[idx]
 }
 
 // Min returns the smallest sample, or NaN with no samples.

@@ -184,13 +184,12 @@ func E14() *Table {
 		cfg.RandomizeSeed = mode.seed
 		cfg.WitnessSamples = mode.wsamples
 		res := Run(cfg)
-		attacker := &sp.Attacker{Knowledge: res.Server.Store()}
 		effK := &metrics.Summary{}
 		conf := &metrics.Summary{}
 		confident := 0
 		series := res.ExposedSeries()
-		for _, reqs := range series {
-			rep := attacker.WeightedAttack(reqs)
+		for _, s := range series {
+			rep := sp.Weighted(res.Server.Store(), s.Boxes)
 			effK.Add(rep.EffectiveK)
 			conf.Add(rep.TopConfidence)
 			if rep.TopConfidence > 0.5 {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"histanon/internal/generalize"
+	"histanon/internal/geo"
 	"histanon/internal/lbqid"
 	"histanon/internal/metrics"
 	"histanon/internal/mixzone"
@@ -70,7 +71,7 @@ type ScenarioResult struct {
 // forwards to a recording provider.
 func Run(cfg ScenarioConfig) *ScenarioResult {
 	if cfg.Mobility.Users == 0 {
-		cfg = applyDefaults(cfg)
+		cfg.Mobility = DefaultScenario().Mobility
 	}
 	world := mobility.Generate(cfg.Mobility)
 	provider := sp.NewProvider()
@@ -114,18 +115,6 @@ func Run(cfg ScenarioConfig) *ScenarioResult {
 	return res
 }
 
-func applyDefaults(cfg ScenarioConfig) ScenarioConfig {
-	def := DefaultScenario()
-	def.Policy = cfg.Policy
-	def.Tolerance = cfg.Tolerance
-	def.OnDemand = cfg.OnDemand
-	def.StaticZones = cfg.StaticZones
-	def.TrackLBQIDs = cfg.TrackLBQIDs
-	def.RandomizeSeed = cfg.RandomizeSeed
-	def.WitnessSamples = cfg.WitnessSamples
-	return def
-}
-
 // GeneralizedStats summarizes the area (m²) and interval (s) of the
 // generalized, forwarded requests' contexts, in request order.
 func (r *ScenarioResult) GeneralizedStats() (area, interval *metrics.Summary) {
@@ -139,41 +128,41 @@ func (r *ScenarioResult) GeneralizedStats() (area, interval *metrics.Summary) {
 	return area, interval
 }
 
-// ExposedSeries returns, for each user whose LBQID was fully exposed,
-// the request series Theorem 1 speaks about: the generalized (LBQID
-// matching) requests forwarded under the exposing pseudonym. Background
-// requests outside any LBQID are excluded — the paper's framework treats
-// location as identifying only through the declared quasi-identifiers
-// (§4), so exact contexts outside them are out of the theorem's scope.
-func (r *ScenarioResult) ExposedSeries() map[phl.UserID][]*wire.Request {
+// ExposedSeries returns, in user order, the series Theorem 1 speaks
+// about for each user whose LBQID was fully exposed: the contexts of the
+// generalized (LBQID matching) requests forwarded under the exposing
+// pseudonym. Background requests outside any LBQID are excluded — the
+// paper's framework treats location as identifying only through the
+// declared quasi-identifiers (§4), so exact contexts outside them are
+// out of the theorem's scope.
+func (r *ScenarioResult) ExposedSeries() []sp.Series {
 	exposePseudo := map[phl.UserID]wire.Pseudonym{}
 	for i, d := range r.Decisions {
 		if d.QIDExposed && d.Request != nil {
 			exposePseudo[r.Requests[i].User] = d.Request.Pseudonym
 		}
 	}
-	out := map[phl.UserID][]*wire.Request{}
+	boxes := map[phl.UserID][]geo.STBox{}
 	for i, d := range r.Decisions {
 		if !d.Generalized || d.Request == nil {
 			continue
 		}
 		u := r.Requests[i].User
 		if ps, ok := exposePseudo[u]; ok && d.Request.Pseudonym == ps {
-			out[u] = append(out[u], d.Request)
+			boxes[u] = append(boxes[u], d.Request.Context)
 		}
 	}
-	return out
+	series := make([]sp.Series, 0, len(boxes))
+	for _, u := range sortedUsers(boxes) {
+		series = append(series, sp.Series{Issuer: u, Boxes: boxes[u]})
+	}
+	return series
 }
 
 // AttackExposed runs the §5 attack (sp.Score) on every exposed series,
 // in user order, against the server's own store.
 func (r *ScenarioResult) AttackExposed() sp.Report {
-	exposed := r.ExposedSeries()
-	var series []sp.Series
-	for _, u := range sortedUsers(exposed) {
-		series = append(series, sp.Series{Issuer: u, Boxes: sp.Contexts(exposed[u])})
-	}
-	return sp.Score(r.Server.Store(), series)
+	return sp.Score(r.Server.Store(), r.ExposedSeries())
 }
 
 // sortedUsers returns m's users in increasing order.

@@ -110,16 +110,12 @@ func TestTheoremOneOnPipeline(t *testing.T) {
 	if len(series) == 0 {
 		t.Fatal("two weeks of commuting must expose some LBQIDs")
 	}
-	attacker := &sp.Attacker{Knowledge: res.Server.Store()}
-	for u, reqs := range series {
-		rep := attacker.AttackSeries(reqs)
-		if len(rep.Candidates) < k {
-			t.Fatalf("user %v: anonymity set %d < k=%d over %d requests",
-				u, len(rep.Candidates), k, len(reqs))
-		}
-		if rep.Identified {
-			t.Fatalf("user %v identified despite historical %d-anonymity", u, k)
-		}
+	rep := sp.Score(res.Server.Store(), series)
+	if got := rep.MinAnonymity(); got < k {
+		t.Fatalf("smallest anonymity set %d < k=%d over %d exposed series", got, k, len(series))
+	}
+	if n := rep.IdentifiedGroups(); n > 0 {
+		t.Fatalf("%d series identified despite historical %d-anonymity", n, k)
 	}
 }
 

@@ -3,23 +3,22 @@
 // request it receives and tries to re-identify users from the
 // generalized location contexts.
 //
-// The threat model follows the paper: the SP can (a) trivially link
-// requests sharing a pseudonym, (b) run multi-target tracking to link
-// across pseudonyms (§5.2), and (c) consult an external observation
-// source to learn who was where — modeled, worst case, as access to the
-// true Personal-History-of-Locations database. Re-identification then
-// means intersecting, over a linked request set, the users whose
-// histories are LT-consistent with every request context (Def. 7): if a
-// single user remains, the pseudonym is broken.
+// The threat model follows the paper's §5: the SP links the requests
+// that share a pseudonym into one series, and consults an external
+// observation source to learn who was where — modeled, worst case, as
+// access to the true Personal-History-of-Locations database. Score is
+// that attack: it intersects, over a series, the users whose histories
+// are LT-consistent with every request context (Defs. 7–8), and the
+// series is broken when that set is exactly its issuer. Weighted
+// sharpens the same candidate set into a posterior (E14). Linking
+// across pseudonyms (§5.2) is measured apart from Score, by
+// link.RotationLikelihoods (E8).
 package sp
 
 import (
-	"sort"
 	"sync"
 
-	"histanon/internal/anon"
 	"histanon/internal/geo"
-	"histanon/internal/link"
 	"histanon/internal/phl"
 	"histanon/internal/wire"
 )
@@ -60,53 +59,26 @@ func (p *Provider) Requests() []*wire.Request {
 	return out
 }
 
-// ByPseudonym groups the recorded requests by pseudonym.
-func (p *Provider) ByPseudonym() map[wire.Pseudonym][]*wire.Request {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[wire.Pseudonym][]*wire.Request)
-	for _, r := range p.reqs {
-		out[r.Pseudonym] = append(out[r.Pseudonym], r)
-	}
-	return out
-}
-
-// Attacker runs re-identification over a provider's log.
-type Attacker struct {
-	// Knowledge is the external observation source (worst case: the full
-	// PHL database).
-	Knowledge phl.Storer
-	// Linker links requests across pseudonyms; nil means
-	// pseudonym-equality only.
-	Linker link.Func
-	// Theta is the linkability threshold used to form linked groups.
-	Theta float64
-}
-
-// GroupReport is the attack outcome for one linked request group.
+// GroupReport is the attack outcome for one series.
 type GroupReport struct {
-	// Issuer is the group's true user, known when Score attacks a
-	// Series; Attack and AttackSeries cannot know it and leave it zero.
+	// Issuer is the series' true user.
 	Issuer phl.UserID
-	// Pseudonyms seen in the group (more than one when tracking linked
-	// across a pseudonym change).
-	Pseudonyms []wire.Pseudonym
-	// Requests is the group size.
+	// Requests is the series length.
 	Requests int
 	// Candidates are the users whose histories are LT-consistent with
-	// every request context in the group — the attacker's anonymity set.
+	// every request context in the series — the attacker's anonymity set.
 	Candidates []phl.UserID
-	// Identified is true when the candidate set is exactly the issuer
-	// (Score), or holds one user (Attack and AttackSeries).
+	// Identified is true when the candidate set is exactly the issuer.
 	Identified bool
 }
 
-// Report aggregates an attack over all groups.
+// Report is Score's outcome, one GroupReport per series in order.
 type Report struct {
 	Groups []GroupReport
 }
 
-// IdentifiedGroups counts the groups pinned to a single candidate.
+// IdentifiedGroups counts the series whose candidate set is exactly
+// their issuer.
 func (r Report) IdentifiedGroups() int {
 	n := 0
 	for _, g := range r.Groups {
@@ -226,77 +198,6 @@ func Score(kn AttackStore, series []Series) Report {
 		}
 	}
 	return rep
-}
-
-// CandidateUsers returns the users LT-consistent with every request in
-// the set — the attacker's anonymity set for that linked series.
-func (a *Attacker) CandidateUsers(reqs []*wire.Request) []phl.UserID {
-	boxes := Contexts(reqs)
-	return anon.HistoricalAnonymitySet(a.Knowledge, boxes)
-}
-
-// Attack groups the provider's log and attacks each group. Grouping uses
-// the configured linker at threshold Theta; with a nil linker, groups
-// are exactly the pseudonyms.
-func (a *Attacker) Attack(p *Provider) Report {
-	reqs := p.Requests()
-	var groups [][]*wire.Request
-	if a.Linker == nil {
-		by := map[wire.Pseudonym][]*wire.Request{}
-		var order []wire.Pseudonym
-		for _, r := range reqs {
-			if _, ok := by[r.Pseudonym]; !ok {
-				order = append(order, r.Pseudonym)
-			}
-			by[r.Pseudonym] = append(by[r.Pseudonym], r)
-		}
-		for _, ps := range order {
-			groups = append(groups, by[ps])
-		}
-	} else {
-		groups = link.Components(reqs, a.Linker, a.Theta)
-	}
-
-	var rep Report
-	for _, g := range groups {
-		rep.Groups = append(rep.Groups, a.AttackSeries(g))
-	}
-	return rep
-}
-
-// AttackSeries attacks one already-linked request series and returns its
-// report.
-func (a *Attacker) AttackSeries(reqs []*wire.Request) GroupReport {
-	cands := a.CandidateUsers(reqs)
-	return GroupReport{
-		Pseudonyms: pseudonymsOf(reqs),
-		Requests:   len(reqs),
-		Candidates: cands,
-		Identified: len(cands) == 1,
-	}
-}
-
-// Contexts returns the requests' context boxes, in order: the series
-// as the LT-consistency attack reads it.
-func Contexts(reqs []*wire.Request) []geo.STBox {
-	boxes := make([]geo.STBox, 0, len(reqs))
-	for _, r := range reqs {
-		boxes = append(boxes, r.Context)
-	}
-	return boxes
-}
-
-func pseudonymsOf(reqs []*wire.Request) []wire.Pseudonym {
-	seen := map[wire.Pseudonym]bool{}
-	var out []wire.Pseudonym
-	for _, r := range reqs {
-		if !seen[r.Pseudonym] {
-			seen[r.Pseudonym] = true
-			out = append(out, r.Pseudonym)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Logic computes a service's answer from the generalized request it

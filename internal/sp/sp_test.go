@@ -30,12 +30,8 @@ func TestProviderRecords(t *testing.T) {
 	p.Deliver(reqAt(1, "a", box(0, 0, 1, 1, 0, 1)))
 	p.Deliver(reqAt(2, "b", box(0, 0, 1, 1, 0, 1)))
 	p.Deliver(reqAt(3, "a", box(0, 0, 1, 1, 0, 1)))
-	if got := p.Requests(); len(got) != 3 || got[0].ID != 1 {
+	if got := p.Requests(); len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
 		t.Fatalf("Requests=%v", got)
-	}
-	by := p.ByPseudonym()
-	if len(by["a"]) != 2 || len(by["b"]) != 1 {
-		t.Fatalf("ByPseudonym=%v", by)
 	}
 }
 
@@ -68,107 +64,57 @@ func knowledge() *phl.Store {
 	return s
 }
 
-func TestCandidateUsers(t *testing.T) {
-	a := &Attacker{Knowledge: knowledge()}
-	home := reqAt(1, "p", box(0, 0, 20, 20, 90, 110))
-	office := reqAt(2, "p", box(490, 490, 510, 510, 190, 210))
-	got := a.CandidateUsers([]*wire.Request{home})
-	if len(got) != 2 {
-		t.Fatalf("home candidates=%v", got)
+func TestScoreOnStore(t *testing.T) {
+	// The full commute singles out user 1; the home box alone is shared
+	// by users 1 and 2.
+	home := box(0, 0, 20, 20, 90, 110)
+	office := box(490, 490, 510, 510, 190, 210)
+	rep := Score(knowledge(), []Series{
+		{Issuer: 1, Boxes: []geo.STBox{home, office}},
+		{Issuer: 1, Boxes: []geo.STBox{home}},
+	})
+	if g := rep.Groups[0]; !g.Identified || len(g.Candidates) != 1 || g.Candidates[0] != 1 || g.Requests != 2 {
+		t.Fatalf("commute series: %+v", g)
 	}
-	got = a.CandidateUsers([]*wire.Request{home, office})
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("series candidates=%v", got)
+	if g := rep.Groups[1]; g.Identified || len(g.Candidates) != 2 || g.Requests != 1 {
+		t.Fatalf("home series: %+v", g)
 	}
-}
-
-func TestAttackByPseudonym(t *testing.T) {
-	p := NewProvider()
-	// Pseudonym "x": the full commute — identifies user 1.
-	p.Deliver(reqAt(1, "x", box(0, 0, 20, 20, 90, 110)))
-	p.Deliver(reqAt(2, "x", box(490, 490, 510, 510, 190, 210)))
-	// Pseudonym "y": home only — ambiguous between users 1 and 2.
-	p.Deliver(reqAt(3, "y", box(0, 0, 20, 20, 90, 110)))
-
-	a := &Attacker{Knowledge: knowledge()}
-	rep := a.Attack(p)
-	if len(rep.Groups) != 2 {
-		t.Fatalf("groups=%d", len(rep.Groups))
-	}
-	if rep.IdentifiedGroups() != 1 {
-		t.Fatalf("identified=%d", rep.IdentifiedGroups())
-	}
-	if rep.MinAnonymity() != 1 {
-		t.Fatalf("min anonymity=%d", rep.MinAnonymity())
-	}
-	if got := rep.MeanAnonymity(); got != 1.5 {
-		t.Fatalf("mean anonymity=%g", got)
-	}
-	for _, g := range rep.Groups {
-		if g.Identified && (len(g.Candidates) != 1 || g.Candidates[0] != 1) {
-			t.Fatalf("wrong identification: %+v", g)
-		}
+	if rep.IdentifiedGroups() != 1 || rep.MinAnonymity() != 1 || rep.MeanAnonymity() != 1.5 {
+		t.Fatalf("identified=%d min=%d mean=%g, want 1, 1, 1.5",
+			rep.IdentifiedGroups(), rep.MinAnonymity(), rep.MeanAnonymity())
 	}
 }
 
 func TestAttackWithTrackingLinker(t *testing.T) {
-	// A pseudonym change without spatial mixing: tracking re-links the
-	// two pseudonyms into one group, and the joint series identifies the
-	// user even though each half alone would not.
+	// A pseudonym change without spatial mixing: tracking links the two
+	// pseudonyms, and the series joined across the rotation identifies
+	// user 1 although neither half does.
 	store := phl.NewStore()
 	store.Record(1, pt(0, 0, 0))
 	store.Record(1, pt(100, 0, 50))
 	store.Record(2, pt(5, 5, 0)) // shares the first area only
 	store.Record(2, pt(900, 900, 50))
+	store.Record(3, pt(-900, -900, 0))
+	store.Record(3, pt(95, 5, 50)) // shares the second area only
 
-	p := NewProvider()
-	p.Deliver(reqAt(1, "old", box(-10, -10, 10, 10, 0, 5)))
-	p.Deliver(reqAt(2, "new", box(90, -10, 110, 10, 45, 55)))
-
-	pseudoOnly := &Attacker{Knowledge: store}
-	rep := pseudoOnly.Attack(p)
-	if rep.IdentifiedGroups() != 1 {
-		// The second box alone pins user 1 too; the point is the linker
-		// below must not do worse.
-		t.Logf("pseudonym-only identified=%d", rep.IdentifiedGroups())
+	old := reqAt(1, "old", box(-10, -10, 10, 10, 0, 5))
+	cur := reqAt(2, "new", box(90, -10, 110, 10, 45, 55))
+	tracker := link.Max{link.Pseudonym{}, link.Tracking{MaxSpeed: 10, HalfLife: 1e6}}
+	if !link.IsLinkConnected([]*wire.Request{old, cur}, tracker, 0.8) {
+		t.Fatal("tracking must link the two pseudonyms at 0.8")
 	}
-
-	tracker := &Attacker{
-		Knowledge: store,
-		Linker:    link.Max{link.Pseudonym{}, link.Tracking{MaxSpeed: 10, HalfLife: 1e6}},
-		Theta:     0.8,
-	}
-	rep = tracker.Attack(p)
-	if len(rep.Groups) != 1 {
-		t.Fatalf("tracking must join the pseudonyms: %d groups", len(rep.Groups))
-	}
-	g := rep.Groups[0]
-	if len(g.Pseudonyms) != 2 {
-		t.Fatalf("group pseudonyms=%v", g.Pseudonyms)
-	}
-	if !g.Identified || g.Candidates[0] != 1 {
-		t.Fatalf("joint series must identify user 1: %+v", g)
-	}
-}
-
-func TestAttackSeries(t *testing.T) {
-	a := &Attacker{Knowledge: knowledge()}
-	g := a.AttackSeries([]*wire.Request{
-		reqAt(1, "p", box(0, 0, 20, 20, 90, 110)),
+	rep := Score(store, []Series{
+		{Issuer: 1, Boxes: []geo.STBox{old.Context}},
+		{Issuer: 1, Boxes: []geo.STBox{cur.Context}},
+		{Issuer: 1, Boxes: []geo.STBox{old.Context, cur.Context}},
 	})
-	if g.Identified || len(g.Candidates) != 2 || g.Requests != 1 {
-		t.Fatalf("series report: %+v", g)
+	for _, g := range rep.Groups[:2] {
+		if g.Identified || len(g.Candidates) != 2 {
+			t.Fatalf("each half must leave two candidates: %+v", g)
+		}
 	}
-}
-
-func TestEmptyAttack(t *testing.T) {
-	a := &Attacker{Knowledge: phl.NewStore()}
-	rep := a.Attack(NewProvider())
-	if len(rep.Groups) != 0 || rep.IdentifiedGroups() != 0 || rep.MinAnonymity() != 0 {
-		t.Fatalf("empty report wrong: %+v", rep)
-	}
-	if rep.MeanAnonymity() != 0 {
-		t.Fatal("mean of empty report must be 0")
+	if g := rep.Groups[2]; !g.Identified {
+		t.Fatalf("the joined series must identify user 1: %+v", g)
 	}
 }
 
@@ -197,7 +143,7 @@ func TestProviderRespond(t *testing.T) {
 	}
 }
 
-func TestWeightedAttackSkewedPosterior(t *testing.T) {
+func TestWeightedSkewedPosterior(t *testing.T) {
 	// User 1 has many samples inside the box; user 2 barely grazes it:
 	// the posterior must favor user 1.
 	store := phl.NewStore()
@@ -205,8 +151,7 @@ func TestWeightedAttackSkewedPosterior(t *testing.T) {
 		store.Record(1, pt(10, 10, int64(100+i)))
 	}
 	store.Record(2, pt(10, 10, 105))
-	a := &Attacker{Knowledge: store}
-	rep := a.WeightedAttack([]*wire.Request{reqAt(1, "p", box(0, 0, 20, 20, 90, 130))})
+	rep := Weighted(store, []geo.STBox{box(0, 0, 20, 20, 90, 130)})
 	if len(rep.Candidates) != 2 {
 		t.Fatalf("candidates: %v", rep.Candidates)
 	}
@@ -218,7 +163,7 @@ func TestWeightedAttackSkewedPosterior(t *testing.T) {
 	}
 }
 
-func TestWeightedAttackUniformPosterior(t *testing.T) {
+func TestWeightedUniformPosterior(t *testing.T) {
 	// Symmetric candidates: posterior uniform, effective k = nominal k.
 	store := phl.NewStore()
 	for u := phl.UserID(1); u <= 4; u++ {
@@ -226,8 +171,7 @@ func TestWeightedAttackUniformPosterior(t *testing.T) {
 			store.Record(u, pt(10, 10, int64(100+i)))
 		}
 	}
-	a := &Attacker{Knowledge: store}
-	rep := a.WeightedAttack([]*wire.Request{reqAt(1, "p", box(0, 0, 20, 20, 90, 130))})
+	rep := Weighted(store, []geo.STBox{box(0, 0, 20, 20, 90, 130)})
 	if len(rep.Candidates) != 4 {
 		t.Fatalf("candidates: %v", rep.Candidates)
 	}
@@ -247,15 +191,14 @@ func TestWeightedAttackUniformPosterior(t *testing.T) {
 	}
 }
 
-func TestWeightedAttackEmpty(t *testing.T) {
-	a := &Attacker{Knowledge: phl.NewStore()}
-	rep := a.WeightedAttack([]*wire.Request{reqAt(1, "p", box(0, 0, 1, 1, 0, 1))})
+func TestWeightedEmpty(t *testing.T) {
+	rep := Weighted(phl.NewStore(), []geo.STBox{box(0, 0, 1, 1, 0, 1)})
 	if len(rep.Candidates) != 0 || rep.EffectiveK != 0 {
 		t.Fatalf("empty report: %+v", rep)
 	}
 }
 
-func TestWeightedAttackMultiBoxSeries(t *testing.T) {
+func TestWeightedMultiBoxSeries(t *testing.T) {
 	// Two boxes: user 1 dense in both; user 2 dense in the first only.
 	store := phl.NewStore()
 	for i := 0; i < 10; i++ {
@@ -264,10 +207,9 @@ func TestWeightedAttackMultiBoxSeries(t *testing.T) {
 		store.Record(2, pt(10, 10, int64(100+i)))
 	}
 	store.Record(2, pt(500, 500, 205))
-	a := &Attacker{Knowledge: store}
-	rep := a.WeightedAttack([]*wire.Request{
-		reqAt(1, "p", box(0, 0, 20, 20, 90, 130)),
-		reqAt(2, "p", box(490, 490, 510, 510, 190, 230)),
+	rep := Weighted(store, []geo.STBox{
+		box(0, 0, 20, 20, 90, 130),
+		box(490, 490, 510, 510, 190, 230),
 	})
 	if rep.Candidates[0] != 1 {
 		t.Fatalf("user 1 must lead: %+v", rep)

@@ -4,8 +4,8 @@ import (
 	"math"
 	"sort"
 
+	"histanon/internal/geo"
 	"histanon/internal/phl"
-	"histanon/internal/wire"
 )
 
 // WeightedReport refines the binary candidate set with a posterior: the
@@ -32,14 +32,14 @@ type WeightedReport struct {
 	TopConfidence float64
 }
 
-// WeightedAttack computes the per-candidate posterior over a linked
-// request series. Each candidate's weight is the product over contexts
-// of its in-box sample count normalized by total in-box samples
-// (Laplace-smoothed), i.e. a naive-Bayes issuer model with the true
-// location database as likelihood source.
-func (a *Attacker) WeightedAttack(reqs []*wire.Request) WeightedReport {
-	boxes := Contexts(reqs)
-	cands := a.CandidateUsers(reqs)
+// Weighted computes the per-candidate posterior over one series' boxes.
+// The candidates are Score's: the users LT-consistent with every box.
+// Each candidate's weight is the product over boxes of its in-box
+// sample count normalized by total in-box samples (Laplace-smoothed),
+// i.e. a naive-Bayes issuer model with the true location database as
+// likelihood source.
+func Weighted(kn phl.Storer, boxes []geo.STBox) WeightedReport {
+	cands := kn.LTConsistentUsers(boxes)
 	if len(cands) == 0 {
 		return WeightedReport{}
 	}
@@ -48,7 +48,7 @@ func (a *Attacker) WeightedAttack(reqs []*wire.Request) WeightedReport {
 		counts := make([]float64, len(cands))
 		total := 0.0
 		for i, u := range cands {
-			c := float64(len(a.Knowledge.History(u).In(b))) + 1 // smoothing
+			c := float64(len(kn.History(u).In(b))) + 1 // smoothing
 			counts[i] = c
 			total += c
 		}
