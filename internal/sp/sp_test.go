@@ -64,24 +64,58 @@ func knowledge() *phl.Store {
 	return s
 }
 
-func TestScoreOnStore(t *testing.T) {
-	// The full commute singles out user 1; the home box alone is shared
-	// by users 1 and 2.
+func TestCandidateUsers(t *testing.T) {
+	// The home box alone is shared by users 1 and 2; the full commute
+	// singles out user 1.
 	home := box(0, 0, 20, 20, 90, 110)
 	office := box(490, 490, 510, 510, 190, 210)
 	rep := Score(knowledge(), []Series{
-		{Issuer: 1, Boxes: []geo.STBox{home, office}},
 		{Issuer: 1, Boxes: []geo.STBox{home}},
+		{Issuer: 1, Boxes: []geo.STBox{home, office}},
 	})
-	if g := rep.Groups[0]; !g.Identified || len(g.Candidates) != 1 || g.Candidates[0] != 1 || g.Requests != 2 {
-		t.Fatalf("commute series: %+v", g)
+	if got := rep.Groups[0].Candidates; len(got) != 2 {
+		t.Fatalf("home candidates=%v", got)
 	}
-	if g := rep.Groups[1]; g.Identified || len(g.Candidates) != 2 || g.Requests != 1 {
-		t.Fatalf("home series: %+v", g)
+	if got := rep.Groups[1].Candidates; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("series candidates=%v", got)
 	}
-	if rep.IdentifiedGroups() != 1 || rep.MinAnonymity() != 1 || rep.MeanAnonymity() != 1.5 {
-		t.Fatalf("identified=%d min=%d mean=%g, want 1, 1, 1.5",
-			rep.IdentifiedGroups(), rep.MinAnonymity(), rep.MeanAnonymity())
+}
+
+func TestAttackByPseudonym(t *testing.T) {
+	log := []Logged{
+		// Pseudonym "x": the full commute — identifies user 1.
+		{Issuer: 1, Req: reqAt(1, "x", box(0, 0, 20, 20, 90, 110))},
+		{Issuer: 1, Req: reqAt(2, "x", box(490, 490, 510, 510, 190, 210))},
+		// Pseudonym "y": home only — ambiguous between users 1 and 2.
+		{Issuer: 2, Req: reqAt(3, "y", box(0, 0, 20, 20, 90, 110))},
+	}
+	series, _ := Split(log, 10)
+	rep := Score(knowledge(), series)
+	if len(rep.Groups) != 2 {
+		t.Fatalf("groups=%d", len(rep.Groups))
+	}
+	if rep.IdentifiedGroups() != 1 {
+		t.Fatalf("identified=%d", rep.IdentifiedGroups())
+	}
+	if rep.MinAnonymity() != 1 {
+		t.Fatalf("min anonymity=%d", rep.MinAnonymity())
+	}
+	if got := rep.MeanAnonymity(); got != 1.5 {
+		t.Fatalf("mean anonymity=%g", got)
+	}
+	for _, g := range rep.Groups {
+		if g.Identified && (len(g.Candidates) != 1 || g.Candidates[0] != 1) {
+			t.Fatalf("wrong identification: %+v", g)
+		}
+	}
+}
+
+func TestAttackSeries(t *testing.T) {
+	rep := Score(knowledge(), []Series{
+		{Issuer: 1, Boxes: []geo.STBox{box(0, 0, 20, 20, 90, 110)}},
+	})
+	if g := rep.Groups[0]; g.Identified || len(g.Candidates) != 2 || g.Requests != 1 {
+		t.Fatalf("series report: %+v", g)
 	}
 }
 
