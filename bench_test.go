@@ -227,8 +227,12 @@ func BenchmarkE5_UnlinkPath(b *testing.B) {
 }
 
 // BenchmarkE6_AttackSeries measures E6's attack, sp.Score, on one
-// series of a growing number of boxes.
+// series of a growing number of boxes. A crowd of k users, the issuer
+// and k−1 companions, has a sample inside every box, among 200
+// background users with 50 random samples each, so every box keeps
+// the crowd LT-consistent and the attack reads the whole series.
 func BenchmarkE6_AttackSeries(b *testing.B) {
+	const k = 5
 	store := phl.NewStore()
 	rng := rand.New(rand.NewSource(3))
 	for u := phl.UserID(0); u < 200; u++ {
@@ -239,15 +243,25 @@ func BenchmarkE6_AttackSeries(b *testing.B) {
 			})
 		}
 	}
+	boxes := make([]geo.STBox, 64)
+	for i := range boxes {
+		c := geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000}
+		ct := int64(rng.Intn(14 * 24 * 3600))
+		boxes[i] = geo.STBox{
+			Area: geo.Rect{MinX: c.X - 1000, MinY: c.Y - 1000, MaxX: c.X + 1000, MaxY: c.Y + 1000},
+			Time: geo.Interval{Start: ct - 1800, End: ct + 1800},
+		}
+		for u := phl.UserID(0); u < k; u++ {
+			store.Record(u, geo.STPoint{
+				P: geo.Point{X: c.X + (rng.Float64()*2-1)*1000, Y: c.Y + (rng.Float64()*2-1)*1000},
+				T: ct + int64(rng.Intn(3601)) - 1800,
+			})
+		}
+	}
 	for _, n := range []int{4, 16, 64} {
-		series := []sp.Series{{Boxes: make([]geo.STBox, n)}}
-		for i := range series[0].Boxes {
-			c := geo.Point{X: rng.Float64() * 8000, Y: rng.Float64() * 8000}
-			ct := int64(rng.Intn(14 * 24 * 3600))
-			series[0].Boxes[i] = geo.STBox{
-				Area: geo.Rect{MinX: c.X - 1000, MinY: c.Y - 1000, MaxX: c.X + 1000, MaxY: c.Y + 1000},
-				Time: geo.Interval{Start: ct - 1800, End: ct + 1800},
-			}
+		series := []sp.Series{{Issuer: 0, Boxes: boxes[:n]}}
+		if got := sp.Score(store, series).MinAnonymity(); got < k {
+			b.Fatalf("series=%d: anonymity set %d < k = %d; the fixture lost its crowd", n, got, k)
 		}
 		b.Run(fmt.Sprintf("series=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -315,8 +329,11 @@ func BenchmarkE8_TrackingLikelihood(b *testing.B) {
 }
 
 // BenchmarkE9_MatcherOffer measures the continuous LBQID monitoring
-// cost: one op offers one random request point to each of a user's
-// patterns.
+// cost. In the patterns=n cases one op offers one random request point
+// to each of a user's n patterns, nearly always a miss. In the
+// commute/matched case one op offers one point to perfbench's
+// four-element commute LBQID: home, office, office and home on
+// successive weekdays, so every offer matches an element.
 func BenchmarkE9_MatcherOffer(b *testing.B) {
 	def := `
 lbqid "p%d" {
@@ -347,6 +364,36 @@ lbqid "p%d" {
 			}
 		})
 	}
+
+	commute, err := lbqid.ParseOne(`
+lbqid "commute" {
+    element "Home"   area [0,200]x[0,200]     time [06:30,09:00]
+    element "Office" area [1800,2200]x[0,200] time [07:00,11:00]
+    element "Office" area [1800,2200]x[0,200] time [15:30,19:00]
+    element "Home"   area [0,200]x[0,200]     time [16:00,21:00]
+    recurrence 3.Weekdays * 2.Weeks
+}`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := [4]geo.STPoint{
+		{P: geo.Point{X: 100, Y: 100}, T: 7 * tgran.Hour},
+		{P: geo.Point{X: 2000, Y: 100}, T: 8 * tgran.Hour},
+		{P: geo.Point{X: 2000, Y: 100}, T: 17 * tgran.Hour},
+		{P: geo.Point{X: 100, Y: 100}, T: 18 * tgran.Hour},
+	}
+	b.Run("commute/matched", func(b *testing.B) {
+		m := lbqid.NewMatcher(commute)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := int64(i / 4) // the d-th weekday; the epoch is a Monday
+			p := day[i%4]
+			p.T += (d/5*7 + d%5) * tgran.Day
+			if !m.Offer(lbqid.RequestID(i), p).Matched {
+				b.Fatalf("offer %d at %v matched no element", i, p)
+			}
+		}
+	})
 }
 
 // BenchmarkE10_IndexQueries is the index ablation on both primitives,

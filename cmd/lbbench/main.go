@@ -8,8 +8,8 @@
 //	lbbench -list       # list experiment ids and titles
 //
 // Every table it prints is deterministic and held to the document by
-// TestExperimentTablesMatchDoc (internal/sim). Timings live elsewhere:
-// microbenchmarks, E1, E9 and E10 among them, are `go test -bench`
+// TestExperimentTablesMatchDoc (internal/sim). Timing figures live
+// elsewhere: microbenchmarks, E1, E9 and E10 among them, are `go test -bench`
 // targets (bench_test.go and the packages' own), and end-to-end and
 // per-layer figures come from the perfbench module
 // (perfbench/README.md).

@@ -31,71 +31,12 @@ package generalize
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"histanon/internal/geo"
+	"histanon/internal/obs"
 	"histanon/internal/phl"
 	"histanon/internal/stindex"
 )
-
-// Timings splits one generalization step's wall time (nanoseconds)
-// across Algorithm 1's three phases, for request tracing: the index
-// query for witness trajectories (lines 2–6), the construction of the
-// enclosing box (lines 7 and the density balancing), and the tolerance
-// check with its clamp and randomization (lines 8–13). Timing is
-// opt-in per call — see Session.Trace — so the untraced hot path pays
-// only a nil check.
-type Timings struct {
-	KNNNanos       int64
-	BoxNanos       int64
-	ToleranceNanos int64
-
-	// The lap timer: one wall-clock read arms base (first start call);
-	// every later lap point is a monotonic offset from it via
-	// time.Since, which skips the wall-clock half of a time.Now read.
-	base   time.Time
-	lastNs int64
-}
-
-// The Timings phases, for lap.
-const (
-	phaseKNN = iota
-	phaseBox
-	phaseTolerance
-)
-
-// lap adds the time since the previous lap point to the given phase and
-// re-arms the timer, when tm is non-nil.
-func (tm *Timings) lap(phase int) {
-	if tm == nil {
-		return
-	}
-	now := time.Since(tm.base).Nanoseconds()
-	d := now - tm.lastNs
-	switch phase {
-	case phaseKNN:
-		tm.KNNNanos += d
-	case phaseBox:
-		tm.BoxNanos += d
-	default:
-		tm.ToleranceNanos += d
-	}
-	tm.lastNs = now
-}
-
-// start re-arms the lap timer when tm is non-nil, so the code between
-// two timed sections is attributed to no phase.
-func (tm *Timings) start() {
-	if tm == nil {
-		return
-	}
-	if tm.base.IsZero() {
-		tm.base = time.Now()
-		tm.lastNs = 0
-		return
-	}
-	tm.lastNs = time.Since(tm.base).Nanoseconds()
-}
 
 // Tolerance is a service's coarsest acceptable spatial and temporal
 // resolution (§6.1): "the coarsest spatial and temporal granularity for
@@ -124,9 +65,10 @@ func (t Tolerance) Allows(b geo.STBox) bool {
 	return true
 }
 
-// clamp uniformly reduces the box about the anchor until it satisfies
-// the constraints (Algorithm 1 line 12).
-func (t Tolerance) clamp(b geo.STBox, anchor geo.STPoint) geo.STBox {
+// Clamp uniformly reduces the box about the anchor until it satisfies
+// the constraints (Algorithm 1 line 12). An unconstrained dimension is
+// left as it is.
+func (t Tolerance) Clamp(b geo.STBox, anchor geo.STPoint) geo.STBox {
 	maxW, maxH := b.Area.Width(), b.Area.Height()
 	if t.MaxWidth > 0 {
 		maxW = t.MaxWidth
@@ -191,15 +133,19 @@ func (g *Generalizer) FirstElement(q geo.STPoint, issuer phl.UserID, k int, tol 
 	return g.firstElement(q, issuer, k, tol, nil)
 }
 
-// firstElement is FirstElement with optional phase timing.
-func (g *Generalizer) firstElement(q geo.STPoint, issuer phl.UserID, k int, tol Tolerance, tm *Timings) (Result, bool) {
+// firstElement is FirstElement lapping its three phases on lap, a
+// request span that is nil unless the request is timed: the index
+// query for witness trajectories (lines 5–6), the construction of the
+// enclosing box (line 7 and the density balancing), and the tolerance
+// check with its clamp and randomization (lines 8–13).
+func (g *Generalizer) firstElement(q geo.STPoint, issuer phl.UserID, k int, tol Tolerance, lap *obs.Span) (Result, bool) {
 	if k < 1 {
 		return Result{}, false
 	}
-	tm.start()
+	lap.Sync()
 	exclude := map[phl.UserID]bool{issuer: true}
 	box, members, found := stindex.SmallestEnclosingBox(g.Index, q, k-1, g.Metric, exclude)
-	tm.lap(phaseKNN)
+	lap.Mark(obs.StageKNN)
 	if !found {
 		return Result{}, false
 	}
@@ -214,15 +160,15 @@ func (g *Generalizer) firstElement(q geo.STPoint, issuer phl.UserID, k int, tol 
 		res.Points[i] = m.Point
 	}
 	res.Box = g.balanceDensity(res.Box, q, res.Users)
-	tm.lap(phaseBox)
+	lap.Mark(obs.StageBox)
 	if !tol.Allows(res.Box) {
 		res.HKAnonymity = false
-		res.Box = tol.clamp(res.Box, q)
+		res.Box = tol.Clamp(res.Box, q)
 	}
 	if g.Randomize != nil {
 		res.Box = g.Randomize.Perturb(res.Box, tol)
 	}
-	tm.lap(phaseTolerance)
+	lap.Mark(obs.StageTolerance)
 	return res, true
 }
 
@@ -234,11 +180,11 @@ func (g *Generalizer) NextElement(q geo.STPoint, users []phl.UserID, tol Toleran
 	return g.nextElement(q, users, tol, nil)
 }
 
-// nextElement is NextElement with optional phase timing. The per-witness
-// closest-point lookups count as the KNN phase; box assembly and density
-// balancing as the box phase.
-func (g *Generalizer) nextElement(q geo.STPoint, users []phl.UserID, tol Tolerance, tm *Timings) Result {
-	tm.start()
+// nextElement is NextElement lapping its phases on lap, as
+// firstElement does. The per-witness closest-point lookups count as the
+// KNN phase; box assembly and density balancing as the box phase.
+func (g *Generalizer) nextElement(q geo.STPoint, users []phl.UserID, tol Tolerance, lap *obs.Span) Result {
+	lap.Sync()
 	res := Result{Box: geo.STBoxAround(q), HKAnonymity: true}
 	for _, u := range users {
 		p, _, ok := phl.Closest(g.Store, u, q, g.Metric)
@@ -249,17 +195,17 @@ func (g *Generalizer) nextElement(q geo.STPoint, users []phl.UserID, tol Toleran
 		res.Points = append(res.Points, p)
 		res.Box = res.Box.Extend(p)
 	}
-	tm.lap(phaseKNN)
+	lap.Mark(obs.StageKNN)
 	res.Box = g.balanceDensity(res.Box, q, res.Users)
-	tm.lap(phaseBox)
+	lap.Mark(obs.StageBox)
 	if !tol.Allows(res.Box) {
 		res.HKAnonymity = false
-		res.Box = tol.clamp(res.Box, q)
+		res.Box = tol.Clamp(res.Box, q)
 	}
 	if g.Randomize != nil {
 		res.Box = g.Randomize.Perturb(res.Box, tol)
 	}
-	tm.lap(phaseTolerance)
+	lap.Mark(obs.StageTolerance)
 	return res
 }
 
@@ -307,11 +253,12 @@ type Session struct {
 	step   int
 	users  []phl.UserID
 
-	// Trace, when non-nil, accumulates per-phase wall time for the next
-	// Generalize call (request tracing; see internal/obs). The caller
-	// owns the pointer and may set it per request — typically non-nil
-	// only for sampled requests.
-	Trace *Timings
+	// Trace, when non-nil, is the span the next Generalize call laps
+	// Algorithm 1's phases on (obs.StageKNN, StageBox, StageTolerance).
+	// The caller sets it before each call: the trusted server sets the
+	// request's span when the request is head-sampled, and nil
+	// otherwise.
+	Trace *obs.Span
 }
 
 // NewSession starts a trace-generalization session for one user and one

@@ -140,6 +140,36 @@ func MetricNames() []string {
 	}
 }
 
+// Help returns the HELP text of a family whose series depend on what is
+// wired: the resilience and storage families, which a resilience
+// outbox or a durable store registers live and any other server
+// registers as zero placeholders. Both registrations take the text from
+// here, so a family's HELP line is the same whatever is wired.
+func Help(name string) string { return wiredHelp[name] }
+
+var wiredHelp = map[string]string{
+	MetricResilienceEvents:       "Asynchronous SP delivery pipeline events by type.",
+	MetricResilienceQueueDepth:   "Requests currently queued for SP delivery.",
+	MetricResilienceBreakerOpen:  "Per-service circuit breakers currently open.",
+	MetricStorageWALAppends:      "Location updates appended to the write-ahead log.",
+	MetricStorageWALFsyncs:       "WAL fsyncs issued (group commits, rotations, closes).",
+	MetricStorageWALBytes:        "Bytes written to the WAL, framing included.",
+	MetricStorageWALErrors:       "WAL write or fsync errors (the first one is fail-stop).",
+	MetricStorageWALLag:          "Appended records not yet covered by an fsync.",
+	MetricStorageSnapshots:       "Snapshot files written, by kind.",
+	MetricStorageSnapshotErrors:  "Snapshot writes or compactions that failed.",
+	MetricStorageDemotions:       "Maintenance cycles that moved samples to the cold tier.",
+	MetricStorageDemotedSamples:  "Samples demoted from memory to the cold tier.",
+	MetricStorageColdReads:       "Cold-tier run reads, by result.",
+	MetricStorageColdKNN:         "KNN queries by whether a time bound ruled out the cold tier.",
+	MetricStorageHotSamples:      "PHL samples resident in memory (warm + fresh tiers).",
+	MetricStorageColdSamples:     "PHL samples resident only on disk.",
+	MetricStorageChainFiles:      "Files in the live snapshot chain (compaction bounds this).",
+	MetricStorageRecoverySeconds: "Wall seconds the last crash recovery took.",
+	MetricStorageRecoveryRecords: "WAL records replayed by the last recovery.",
+	MetricStorageFailed:          "1 while the WAL is failed (every request suppressed), else 0.",
+}
+
 // AchievedKBuckets returns the bucket bounds of the achieved-k
 // histogram: one bucket per k in [1, 20]. Shared by the live Observer
 // and ReplayAchievedK so the two always agree.

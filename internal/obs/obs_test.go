@@ -101,7 +101,7 @@ func TestSpanTiming(t *testing.T) {
 	sp.Mark(StageMatch)
 	sp.Sync()
 	sp.Mark(StageForward)
-	sp.AddStage(StageKNN, 1234)
+	sp.StageNs[StageKNN] = 1234
 	tr := NewTracer(2)
 	tr.Record(&sp)
 	if sp.TotalNs <= 0 {
@@ -113,6 +113,10 @@ func TestSpanTiming(t *testing.T) {
 	if sp.StageNs[StageMatch] < 0 || sp.StageNs[StageForward] < 0 {
 		t.Fatalf("negative stage time: %v", sp.StageNs)
 	}
+	// An untimed request's lap is a nil span: its laps are no-ops.
+	var untimed *Span
+	untimed.Sync()
+	untimed.Mark(StageKNN)
 }
 
 func TestAuditEventRoundTrip(t *testing.T) {
@@ -265,7 +269,7 @@ func TestObserverDefaults(t *testing.T) {
 	o.Audit(Event{Kind: KindRequest}) // must be a safe no-op
 
 	var sp Span
-	sp.AddStage(StageKNN, 2_000_000) // 2 ms
+	sp.StageNs[StageKNN] = 2_000_000 // 2 ms
 	o.RecordSpan(&sp, true)
 	if got := o.StageSeconds[StageKNN].Count(); got != 1 {
 		t.Fatalf("KNN stage histogram count = %d", got)

@@ -182,7 +182,7 @@ func TestRecordSpanExemplarCapture(t *testing.T) {
 	}
 	tc := MintTraceContext(true)
 	sp := Span{TraceID: tc.TraceIDString(), Outcome: OutcomeForwarded}
-	sp.AddStage(StageKNN, 2_000_000)
+	sp.StageNs[StageKNN] = 2_000_000
 	if !o.RecordSpan(&sp, true) {
 		t.Fatal("head span must be retained")
 	}
@@ -208,7 +208,7 @@ func TestRecordSpanExemplarCapture(t *testing.T) {
 	o2.Tracer.SetSampleRate(1)
 	o2.SetExemplars(true)
 	sp2 := Span{TraceID: MintTraceContext(false).TraceIDString(), Outcome: OutcomeForwarded}
-	sp2.AddStage(StageBox, 3_000_000)
+	sp2.StageNs[StageBox] = 3_000_000
 	if o2.RecordSpan(&sp2, false) {
 		t.Fatal("boring non-head span must be discarded")
 	}
@@ -227,7 +227,7 @@ func TestExemplarsInPrometheusExposition(t *testing.T) {
 	o.SetExemplars(true)
 	tc := MintTraceContext(true)
 	sp := Span{TraceID: tc.TraceIDString(), Outcome: OutcomeForwarded}
-	sp.AddStage(StageKNN, 2_000_000)
+	sp.StageNs[StageKNN] = 2_000_000
 	o.RecordSpan(&sp, true)
 
 	reg := metrics.NewRegistry()

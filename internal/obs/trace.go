@@ -298,9 +298,11 @@ func (sp *Span) Begin() {
 }
 
 // Mark attributes the time since the previous Mark (or Begin) to the
-// given stage. A no-op before Begin.
+// given stage. A no-op on a nil span and before Begin, so code that
+// laps a request's stages (the TS, Algorithm 1 in package generalize)
+// calls it unconditionally on a span that is nil unless timed.
 func (sp *Span) Mark(s Stage) {
-	if sp.beganNs == 0 {
+	if sp == nil || sp.beganNs == 0 {
 		return
 	}
 	now := monoNow() - sp.beganNs
@@ -308,17 +310,11 @@ func (sp *Span) Mark(s Stage) {
 	sp.markNs = now
 }
 
-// AddStage attributes externally measured nanoseconds to a stage (used
-// for the Algorithm 1 sub-stages timed inside package generalize).
-func (sp *Span) AddStage(s Stage, ns int64) {
-	sp.StageNs[s] += ns
-}
-
 // Sync re-arms the lap timer without attributing the elapsed time to
-// any stage — for skipping bookkeeping code between stages. A no-op
-// before Begin.
+// any stage — for skipping bookkeeping code between stages. A no-op on
+// a nil span and before Begin.
 func (sp *Span) Sync() {
-	if sp.beganNs == 0 {
+	if sp == nil || sp.beganNs == 0 {
 		return
 	}
 	sp.markNs = monoNow() - sp.beganNs

@@ -13,8 +13,8 @@
 // exponential backoff + deterministic jitter retries (backoff.go) and a
 // per-service circuit breaker (breaker.go). Admission is fail-closed:
 // when the queue stays full for one scheduler slice or the breaker is
-// open, TryDeliver refuses synchronously and the trusted server records
-// the request as suppressed (degraded), never forwarded.
+// open, TryDeliverTraced refuses synchronously and the trusted server
+// records the request as suppressed (degraded), never forwarded.
 //
 // Every fault outcome is observable: the Outbox feeds the
 // histanon_resilience_* metric families and writes KindDelivery audit
@@ -58,7 +58,7 @@ type realClock struct{}
 func (realClock) Now() time.Time        { return time.Now() }
 func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// AdmissionError is a synchronous TryDeliver refusal. Why is the audit
+// AdmissionError is a synchronous admission refusal. Why is the audit
 // reason label the trusted server records on the degraded decision
 // (Decision.DegradedReason / the audit `reason` field).
 type AdmissionError struct {
@@ -72,7 +72,7 @@ func (e *AdmissionError) Error() string { return e.Msg }
 // Reason returns the audit reason label.
 func (e *AdmissionError) Reason() string { return e.Why }
 
-// Admission errors returned by TryDeliver. The trusted server maps each
+// Admission errors returned by TryDeliverTraced. The trusted server maps each
 // to a suppressed (degraded) decision — the fail-closed outcome.
 var (
 	// ErrQueueFull reports that the outbox queue is saturated.
@@ -160,9 +160,9 @@ type pending struct {
 }
 
 // Outbox is the bounded asynchronous delivery pipeline between the
-// trusted server and a service provider. It implements ts.Outbox (the
-// infallible Deliver) and the fail-closed TryDeliver the trusted server
-// prefers when present. Safe for concurrent use.
+// trusted server and a service provider. Its fail-closed
+// TryDeliverTraced is ts.Outbox, the trusted server's one admission
+// call. Safe for concurrent use.
 type Outbox struct {
 	opts   Options
 	target Delivery
@@ -176,8 +176,8 @@ type Outbox struct {
 	breakers map[string]*Breaker
 
 	// closeMu serializes admission against Close: the queue channel may
-	// only be closed while no TryDeliver holds the read side. A
-	// TryDeliver parked on a full queue holds it for at most
+	// only be closed while no admission holds the read side. An
+	// admission parked on a full queue holds it for at most
 	// admissionWait, so Close waits at most that long for it.
 	closeMu sync.RWMutex
 	closed  bool
@@ -239,19 +239,21 @@ func (o *Outbox) breaker(service string) *Breaker {
 	return b
 }
 
-// TryDeliver admits a request into the delivery queue, or refuses
-// synchronously — the fail-closed path. It returns ErrQueueFull when
-// the queue stays saturated for admissionWait, ErrBreakerOpen when the
-// service's breaker is open, and ErrClosed after shutdown; on any error
-// the request has NOT been and will never be forwarded.
+// TryDeliver is TryDeliverTraced for an untraced request. The trusted
+// server calls only TryDeliverTraced; TryDeliver stays because
+// perfbench's timing decorator (perfbench/layers.go) forwards it.
 func (o *Outbox) TryDeliver(req *wire.Request) error {
 	return o.TryDeliverTraced(req, obs.TraceContext{})
 }
 
-// TryDeliverTraced is TryDeliver carrying the request span's trace
-// context into the queue: the worker records a delivery span (child of
-// tc) covering the queue wait and every delivery attempt. A zero tc
-// behaves exactly like TryDeliver.
+// TryDeliverTraced admits a request into the delivery queue, or refuses
+// synchronously — the fail-closed path. It returns ErrQueueFull when
+// the queue stays saturated for admissionWait, ErrBreakerOpen when the
+// service's breaker is open, and ErrClosed after shutdown; on any error
+// the request has NOT been and will never be forwarded. A valid tc
+// carries the request span's trace context into the queue: the worker
+// records a delivery span (child of tc) covering the queue wait and
+// every delivery attempt. A zero tc records no delivery span.
 func (o *Outbox) TryDeliverTraced(req *wire.Request, tc obs.TraceContext) error {
 	if o.breaker(req.Service).Rejects() {
 		o.Events.Inc(EventShedBreakerOpen)
@@ -286,15 +288,16 @@ func (o *Outbox) TryDeliverTraced(req *wire.Request, tc obs.TraceContext) error 
 	return nil
 }
 
-// admissionWait is how long TryDeliver waits on a full queue before it
+// admissionWait is how long admission waits on a full queue before it
 // sheds: one slice of Go's scheduler, which preempts a goroutine that
 // has run this long, so that any runnable worker gets a CPU in that
 // time. It is real time whatever the outbox's Clock.
 const admissionWait = 10 * time.Millisecond
 
-// Deliver implements ts.Outbox for callers that cannot observe
-// admission failures; refused requests are already counted and audited
-// by TryDeliver's failure path, so the error is deliberately dropped.
+// Deliver is TryDeliver for callers that cannot observe admission
+// failures; refused requests are already counted by the failure path,
+// so the error is deliberately dropped. The trusted server never calls
+// it; it stays because perfbench's timing decorator forwards it.
 func (o *Outbox) Deliver(req *wire.Request) { _ = o.TryDeliver(req) }
 
 // worker drains the queue until it is closed.
@@ -451,13 +454,13 @@ func (o *Outbox) OpenBreakers() int {
 // the open-breaker count.
 func (o *Outbox) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterCounterVec(obs.MetricResilienceEvents,
-		"Asynchronous SP delivery pipeline events by type.",
+		obs.Help(obs.MetricResilienceEvents),
 		nil, o.Events)
 	r.RegisterGaugeFunc(obs.MetricResilienceQueueDepth,
-		"Requests currently queued for SP delivery.",
+		obs.Help(obs.MetricResilienceQueueDepth),
 		nil, func() float64 { return float64(o.QueueDepth()) })
 	r.RegisterGaugeFunc(obs.MetricResilienceBreakerOpen,
-		"Per-service circuit breakers currently open.",
+		obs.Help(obs.MetricResilienceBreakerOpen),
 		nil, func() float64 { return float64(o.OpenBreakers()) })
 }
 

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"histanon/internal/geo"
+	"histanon/internal/obs"
 	"histanon/internal/phl"
 	"histanon/internal/wire"
 )
@@ -35,9 +36,16 @@ type Provider struct {
 // NewProvider returns an empty provider.
 func NewProvider() *Provider { return &Provider{} }
 
-// Deliver records a request (Outbox implementation) and, when response
-// logic is configured for the service, computes and returns the answer
-// through the trusted server.
+// TryDeliverTraced implements the trusted server's Outbox: it delivers
+// the request and never refuses one.
+func (p *Provider) TryDeliverTraced(req *wire.Request, _ obs.TraceContext) error {
+	p.Deliver(req)
+	return nil
+}
+
+// Deliver records a request and, when response logic is configured for
+// the service, computes and returns the answer through the trusted
+// server.
 func (p *Provider) Deliver(req *wire.Request) {
 	p.mu.Lock()
 	p.reqs = append(p.reqs, req)

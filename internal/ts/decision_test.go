@@ -20,9 +20,9 @@ import (
 // does.
 type refusingOutbox struct{}
 
-func (refusingOutbox) Deliver(*wire.Request) { panic("a refusing outbox delivers nothing") }
-
-func (refusingOutbox) TryDeliver(*wire.Request) error { return refusal("queue_full") }
+func (refusingOutbox) TryDeliverTraced(*wire.Request, obs.TraceContext) error {
+	return refusal("queue_full")
+}
 
 // refusal is an admission error that names its audit reason.
 type refusal string

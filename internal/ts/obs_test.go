@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"histanon/internal/obs"
+	"histanon/internal/tgran"
 )
 
 // TestAuditReplayMatchesLiveAchievedK pins the observability layer's
@@ -120,4 +121,92 @@ func TestMetricsRegistryExposition(t *testing.T) {
 	if s.MetricsRegistry() != s.MetricsRegistry() {
 		t.Fatal("MetricsRegistry must be a singleton")
 	}
+}
+
+// TestStageLapsByTier pins the two collection tiers of a request span:
+// a head-sampled span laps every stage its request reaches, Algorithm
+// 1's phases included, and a tail-rescued span laps none.
+func TestStageLapsByTier(t *testing.T) {
+	t.Run("head", func(t *testing.T) {
+		s, _ := newServer(t, Config{DefaultPolicy: Policy{K: 3}})
+		s.Obs.Tracer.SetSampleRate(1)
+		if err := s.AddLBQIDSpec(0, commuteLBQID); err != nil {
+			t.Fatal(err)
+		}
+		seedCrowd(s, 8, 5)
+		for day := int64(0); day < 5; day++ {
+			issuerDay(s, day)
+		}
+		var total [obs.NumStages]int64
+		generalized := 0
+		for _, sp := range s.Obs.Tracer.Spans() {
+			if sp.Generalized {
+				generalized++
+			}
+			for st, ns := range sp.StageNs {
+				total[st] += ns
+			}
+		}
+		if generalized < 10 {
+			t.Fatalf("only %d generalized requests", generalized)
+		}
+		for _, st := range []obs.Stage{obs.StageMatch, obs.StageKNN, obs.StageBox, obs.StageTolerance, obs.StageForward} {
+			if total[st] <= 0 {
+				t.Errorf("stage %s lapped %d ns over %d generalized requests", st, total[st], generalized)
+			}
+		}
+
+		// A request that unlinks also laps the unlink stage.
+		u, send := unlinkServer(t)
+		u.Obs.Tracer.SetSampleRate(1)
+		if d := send(); !d.Unlinked {
+			t.Fatalf("setup request did not unlink: %+v", d)
+		}
+		spans := u.Obs.Tracer.Spans()
+		if sp := spans[len(spans)-1]; !sp.Unlinked || sp.StageNs[obs.StageUnlink] <= 0 {
+			t.Errorf("unlinking span lapped %d ns of unlink: %+v", sp.StageNs[obs.StageUnlink], sp)
+		}
+	})
+
+	// With a head rate so low that the sampler retains none of these
+	// requests, a suppressed request is still collected and rescued by
+	// the tail sampler, with its stage laps all zero.
+	t.Run("tail", func(t *testing.T) {
+		cases := []struct {
+			name  string
+			keep  string
+			setup func() *Server
+		}{{
+			name: "degraded", keep: obs.KeepDegraded,
+			setup: func() *Server {
+				s := New(Config{DefaultPolicy: Policy{K: 3}}, refusingOutbox{})
+				seedCrowd(s, 8, 1)
+				return s
+			},
+		}, {
+			name: "at_risk", keep: obs.KeepDenied,
+			setup: func() *Server {
+				s, _ := newServer(t, Config{DefaultPolicy: Policy{K: 5, SuppressAtRisk: true}})
+				return s
+			},
+		}}
+		for _, c := range cases {
+			s := c.setup()
+			if err := s.AddLBQIDSpec(0, commuteLBQID); err != nil {
+				t.Fatal(err)
+			}
+			s.Obs.Tracer.SetSampleRate(1e-6)
+			d := s.Request(0, pt(50, 50, at(0, 7*tgran.Hour+600)), "navigation", nil)
+			if !d.Generalized || !d.Suppressed {
+				t.Fatalf("%s: request was not generalized and suppressed: %+v", c.name, d)
+			}
+			spans := s.Obs.Tracer.Spans()
+			if len(spans) != 1 || spans[0].KeepReason != c.keep {
+				t.Fatalf("%s: want one span kept as %q, got %+v", c.name, c.keep, spans)
+			}
+			if spans[0].StageNs != ([obs.NumStages]int64{}) {
+				t.Errorf("%s: tail-rescued span lapped stages: %v", c.name, spans[0].StageNs)
+			}
+		}
+	})
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"histanon/internal/geo"
+	"histanon/internal/obs"
 	"histanon/internal/phl"
+	"histanon/internal/resilience"
 	"histanon/internal/storage"
 	"histanon/internal/tgran"
 	"histanon/internal/wire"
@@ -181,6 +183,55 @@ func TestStorageMetricFamiliesAlwaysExposed(t *testing.T) {
 	tiered.MetricsRegistry().WritePrometheus(&sb)
 	if !strings.Contains(sb.String(), `histanon_storage_wal_appends_total 500`) {
 		t.Fatal("tiered server exposes placeholder storage counters, not live ones")
+	}
+}
+
+// A family's HELP and TYPE lines must not depend on what is wired: a
+// plain server registers zero placeholders for the storage and
+// resilience families, a tiered store behind a resilience outbox
+// registers live series, and both expose the same family headers.
+func TestMetricHelpIndependentOfWiring(t *testing.T) {
+	st, _, err := storage.Open(storage.Options{Dir: "store", FS: storage.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	outbox := resilience.NewOutbox(resilience.DeliveryFunc(func(*wire.Request) error { return nil }),
+		resilience.Options{})
+	defer outbox.Close()
+	wired := New(Config{Store: st}, outbox)
+	plain := New(Config{}, OutboxFunc(func(*wire.Request) {}))
+
+	headers := func(s *Server) []string {
+		var sb strings.Builder
+		if err := s.MetricsRegistry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	w, p := headers(wired), headers(plain)
+	if len(w) != 2*len(obs.MetricNames()) || len(p) != len(w) {
+		t.Fatalf("%d families, but %d header lines wired and %d plain", len(obs.MetricNames()), len(w), len(p))
+	}
+	onPlain := map[string]bool{}
+	for _, line := range p {
+		onPlain[line] = true
+	}
+	var differ []string
+	for _, line := range w {
+		if !onPlain[line] {
+			differ = append(differ, line)
+		}
+	}
+	if len(differ) > 0 {
+		t.Fatalf("%d header lines of the wired server differ on the plain one:\n%s",
+			len(differ), strings.Join(differ, "\n"))
 	}
 }
 

@@ -127,33 +127,17 @@ type ServiceSpec struct {
 	Tolerance generalize.Tolerance
 }
 
-// Outbox receives the requests the TS forwards; in experiments it is the
-// (possibly adversarial) service provider.
+// Outbox admits the requests the TS forwards; in experiments it is the
+// (possibly adversarial) service provider. Admission may fail, as in
+// the resilience layer's bounded delivery queue (internal/resilience):
+// TryDeliverTraced returning nil means the request was (or will be)
+// handed to the service provider; an error means it never will be, and
+// the server degrades the request to suppression — the fail-closed
+// outcome, in which a request is withheld rather than forwarded without
+// its delivery guarantees. tc is the request's trace context, zero when
+// the request is untraced; an asynchronous outbox records the queue
+// wait and every delivery attempt as spans of that trace.
 type Outbox interface {
-	Deliver(req *wire.Request)
-}
-
-// FallibleOutbox is an Outbox whose admission can fail synchronously —
-// the contract of the resilience layer's bounded delivery queue
-// (internal/resilience). When the configured outbox implements it, the
-// server calls TryDeliver instead of Deliver and degrades a refused
-// request to suppression: the fail-closed outcome, in which a request
-// is withheld rather than forwarded without its delivery guarantees.
-// TryDeliver returning nil means the request was (or will be) handed to
-// the service provider; an error means it never will be.
-type FallibleOutbox interface {
-	Outbox
-	TryDeliver(req *wire.Request) error
-}
-
-// TracedOutbox is a FallibleOutbox that can carry a request's trace
-// context through its asynchronous delivery path, so the queue wait and
-// every delivery attempt become spans of the same trace
-// (internal/resilience implements it). When the configured outbox is
-// traced and the request carries a valid context, the server calls
-// TryDeliverTraced; otherwise it falls back to TryDeliver.
-type TracedOutbox interface {
-	FallibleOutbox
 	TryDeliverTraced(req *wire.Request, tc obs.TraceContext) error
 }
 
@@ -210,11 +194,15 @@ type PolicyResolver interface {
 	Resolve(service string, p geo.STPoint) Policy
 }
 
-// OutboxFunc adapts a function to the Outbox interface.
+// OutboxFunc adapts a function to the Outbox interface: it delivers
+// every request and never refuses one.
 type OutboxFunc func(req *wire.Request)
 
-// Deliver implements Outbox.
-func (f OutboxFunc) Deliver(req *wire.Request) { f(req) }
+// TryDeliverTraced implements Outbox.
+func (f OutboxFunc) TryDeliverTraced(req *wire.Request, _ obs.TraceContext) error {
+	f(req)
+	return nil
+}
 
 // Config assembles a trusted server.
 type Config struct {
@@ -345,15 +333,10 @@ type userState struct {
 // Server is the trusted server. It is safe for concurrent use; see the
 // package comment for the locking model.
 type Server struct {
-	cfg Config
-	out Outbox
-	// fallible is out's fail-closed admission interface, when it has one
-	// (resolved once at construction so the hot path pays no assertion);
-	// traced additionally carries trace contexts into the delivery queue.
-	fallible FallibleOutbox
-	traced   TracedOutbox
-	store    phl.Storer
-	index    stindex.Index
+	cfg   Config
+	out   Outbox
+	store phl.Storer
+	index stindex.Index
 	// faulty is store's fault-reporting interface, when it has one
 	// (resolved once at construction so the hot path pays no assertion).
 	// A durable store reports cold-read and WAL failures through it;
@@ -378,8 +361,8 @@ type Server struct {
 	nextID atomic.Int64
 
 	// Response routing has its own lock: the SP may call DeliverResponse
-	// synchronously from inside Deliver, i.e. while Request still holds
-	// mu.
+	// synchronously from inside TryDeliverTraced, i.e. while Request
+	// still holds the user's lock.
 	respMu  sync.Mutex
 	routes  map[wire.MsgID]phl.UserID
 	inboxes map[phl.UserID]Inbox
@@ -463,8 +446,6 @@ func New(cfg Config, out Outbox) *Server {
 	// SLO state transitions audit through the observer's sink, so they
 	// land in the same log as the decisions that caused the burn.
 	s.SLO.SetAudit(func(e obs.Event) { s.Obs.Audit(e) })
-	s.fallible, _ = out.(FallibleOutbox)
-	s.traced, _ = out.(TracedOutbox)
 	s.faulty, _ = store.(FaultyStorage)
 	s.batchStore, _ = store.(BatchStorer)
 	s.batchIndex, _ = s.index.(BatchIndex)
@@ -545,15 +526,11 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 		if src, ok := s.out.(MetricsSource); ok {
 			src.RegisterMetrics(r)
 		} else {
-			r.RegisterCounterVec(obs.MetricResilienceEvents,
-				"Async SP delivery pipeline events by type.",
+			r.RegisterCounterVec(obs.MetricResilienceEvents, obs.Help(obs.MetricResilienceEvents),
 				nil, metrics.NewCounterVec("event"))
-			r.RegisterGaugeFunc(obs.MetricResilienceQueueDepth,
-				"Requests waiting in the async SP delivery queue.",
-				nil, func() float64 { return 0 })
-			r.RegisterGaugeFunc(obs.MetricResilienceBreakerOpen,
-				"Per-service circuit breakers currently open.",
-				nil, func() float64 { return 0 })
+			for _, name := range []string{obs.MetricResilienceQueueDepth, obs.MetricResilienceBreakerOpen} {
+				r.RegisterGaugeFunc(name, obs.Help(name), nil, func() float64 { return 0 })
+			}
 		}
 		r.RegisterCounterFunc(obs.MetricHTTPShed,
 			"HTTP requests shed by admission control with a 503.",
@@ -583,23 +560,18 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 				obs.MetricStorageSnapshotErrors, obs.MetricStorageDemotions,
 				obs.MetricStorageDemotedSamples,
 			} {
-				r.RegisterCounterFunc(name,
-					"Durable tiered-storage counter (zero: in-memory store).",
-					nil, func() int64 { return 0 })
+				r.RegisterCounterFunc(name, obs.Help(name), nil, func() int64 { return 0 })
 			}
 			for _, kind := range []string{"full", "delta"} {
-				r.RegisterCounterFunc(obs.MetricStorageSnapshots,
-					"Snapshot files written, by kind.",
+				r.RegisterCounterFunc(obs.MetricStorageSnapshots, obs.Help(obs.MetricStorageSnapshots),
 					metrics.Labels{"kind": kind}, func() int64 { return 0 })
 			}
 			for _, result := range []string{"hit", "miss", "error"} {
-				r.RegisterCounterFunc(obs.MetricStorageColdReads,
-					"Cold-tier run reads, by result.",
+				r.RegisterCounterFunc(obs.MetricStorageColdReads, obs.Help(obs.MetricStorageColdReads),
 					metrics.Labels{"result": result}, func() int64 { return 0 })
 			}
 			for _, result := range []string{"skipped", "scanned"} {
-				r.RegisterCounterFunc(obs.MetricStorageColdKNN,
-					"KNN queries by whether a time bound ruled out the cold tier.",
+				r.RegisterCounterFunc(obs.MetricStorageColdKNN, obs.Help(obs.MetricStorageColdKNN),
 					metrics.Labels{"result": result}, func() int64 { return 0 })
 			}
 			for _, name := range []string{
@@ -608,9 +580,7 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 				obs.MetricStorageRecoverySeconds, obs.MetricStorageRecoveryRecords,
 				obs.MetricStorageFailed,
 			} {
-				r.RegisterGaugeFunc(name,
-					"Durable tiered-storage gauge (zero: in-memory store).",
-					nil, func() float64 { return 0 })
+				r.RegisterGaugeFunc(name, obs.Help(name), nil, func() float64 { return 0 })
 			}
 		}
 		s.Wire.register(r)
@@ -754,12 +724,6 @@ func (s *Server) Request(u phl.UserID, p geo.STPoint, service string, data map[s
 	return s.RequestTraced(u, p, service, data, obs.TraceContext{})
 }
 
-// timingsPool recycles the per-request Algorithm 1 timing arenas, so a
-// traced request pays no allocation for stage timing. An arena is
-// acquired only when a span is collected and returned when the request
-// finishes.
-var timingsPool = sync.Pool{New: func() any { return new(generalize.Timings) }}
-
 // RequestTraced is Request under an upstream trace context (parsed from
 // a traceparent header by internal/httpapi). A valid parent puts this
 // request's span in the caller's trace — and, when the parent is
@@ -801,8 +765,12 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	// head-retained spans (the every-Nth detail tier) additionally pay
 	// for per-stage lap timestamps and feed the stage latency
 	// histograms, so the collect-and-discard majority costs two clock
-	// reads (Begin and finish), not ten.
-	detail := collect && head
+	// reads (Begin and finish), not ten. lap is the span in the detail
+	// tier and nil otherwise; its Sync and Mark are then no-ops.
+	var lap *obs.Span
+	if head {
+		lap = sp
+	}
 
 	// The request is also a location update. Store and index carry their
 	// own synchronization, so ingestion happens outside any session lock.
@@ -855,9 +823,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	// matched pattern's session advances and the forwarded context is
 	// the union of their boxes. The union contains each session's box,
 	// so every session's witnesses remain LT-consistent with it.
-	if detail {
-		sp.Sync()
-	}
+	lap.Sync()
 	var matched []int
 	for i, m := range st.matchers {
 		out := m.Offer(lbqid.RequestID(r.id), p)
@@ -872,23 +838,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 			r.QIDExposed = true
 		}
 	}
-	if detail {
-		sp.Mark(obs.StageMatch)
-	}
-
-	// tm collects Algorithm 1's per-phase time across all matched
-	// patterns' sessions; nil (no timing) unless this span is in the
-	// detail tier. The arena is pooled: its laps are folded into the
-	// span right after the Generalize loop, so recycling at return is
-	// safe even though sess.Trace still points at it — every Generalize
-	// call is preceded by a fresh sess.Trace assignment, so the stale
-	// pointer is never dereferenced.
-	var tm *generalize.Timings
-	if detail {
-		tm = timingsPool.Get().(*generalize.Timings)
-		*tm = generalize.Timings{}
-		defer timingsPool.Put(tm)
-	}
+	lap.Mark(obs.StageMatch)
 
 	r.ctx = geo.STBoxAround(p) // exact context unless generalized
 	if len(matched) > 0 {
@@ -901,7 +851,11 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 				sess = generalize.NewSession(s.gen, u, s.decayFor(pol))
 				st.sessions[pi] = sess
 			}
-			sess.Trace = tm
+			// Algorithm 1 laps its phases on the request's span. Every
+			// Generalize call is preceded by this assignment, so the
+			// span left behind in a session after the request has
+			// recycled it is never read.
+			sess.Trace = lap
 			res, found := sess.Generalize(p, r.tol)
 			if !found {
 				r.HKAnonymity = false
@@ -918,25 +872,13 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 		// the tolerance.
 		if !r.tol.Allows(r.ctx) {
 			r.HKAnonymity = false
-			r.ctx = geo.STBox{
-				Area: r.ctx.Area.ShrinkToward(p.P, tolMaxW(r.tol, r.ctx), tolMaxH(r.tol, r.ctx)),
-				Time: r.ctx.Time.ShrinkToward(p.T, tolMaxD(r.tol, r.ctx)),
-			}
-		}
-		if detail {
-			sp.AddStage(obs.StageKNN, tm.KNNNanos)
-			sp.AddStage(obs.StageBox, tm.BoxNanos)
-			sp.AddStage(obs.StageTolerance, tm.ToleranceNanos)
+			r.ctx = r.tol.Clamp(r.ctx, p)
 		}
 		if !r.HKAnonymity {
 			// Step 2 of §6.1: try to unlink future requests.
-			if detail {
-				sp.Sync()
-			}
+			lap.Sync()
 			s.unlink(st, pol, &r)
-			if detail {
-				sp.Mark(obs.StageUnlink)
-			}
+			lap.Mark(obs.StageUnlink)
 		}
 	}
 
@@ -979,21 +921,9 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	s.respMu.Lock()
 	s.routes[r.id] = u
 	s.respMu.Unlock()
-	if detail {
-		sp.Sync()
-	}
-	var deliverErr error
-	switch {
-	case s.traced != nil && tc.Valid():
-		deliverErr = s.traced.TryDeliverTraced(req, tc)
-	case s.fallible != nil:
-		deliverErr = s.fallible.TryDeliver(req)
-	default:
-		s.out.Deliver(req)
-	}
-	if detail {
-		sp.Mark(obs.StageForward)
-	}
+	lap.Sync()
+	deliverErr := s.out.TryDeliverTraced(req, tc)
+	lap.Mark(obs.StageForward)
 	if deliverErr != nil {
 		// Fail closed: the delivery layer refused admission (queue
 		// full, breaker open, shutdown), so the request is withheld —
@@ -1242,29 +1172,6 @@ func (s *Server) AtRisk(u phl.UserID) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.atRisk
-}
-
-// tolMaxW/H/D resolve a tolerance bound, leaving the dimension
-// unchanged when unconstrained.
-func tolMaxW(t generalize.Tolerance, b geo.STBox) float64 {
-	if t.MaxWidth > 0 {
-		return t.MaxWidth
-	}
-	return b.Area.Width()
-}
-
-func tolMaxH(t generalize.Tolerance, b geo.STBox) float64 {
-	if t.MaxHeight > 0 {
-		return t.MaxHeight
-	}
-	return b.Area.Height()
-}
-
-func tolMaxD(t generalize.Tolerance, b geo.STBox) int64 {
-	if t.MaxDuration > 0 {
-		return t.MaxDuration
-	}
-	return b.Time.Duration()
 }
 
 // quietForTheta returns the quiet-window length after which the
